@@ -97,7 +97,8 @@ fn main() {
         let patterns = source.sequence(vectors.max(2));
         let record = measure(&model, &patterns, jobs);
         eprintln!(
-            "       arena {:.0}/s, batch {:.0}/s ({:.1}x), {} jobs {:.0}/s ({:.1}x), parity {}",
+            "       {} engine: arena {:.0}/s, batch {:.0}/s ({:.1}x), {} jobs {:.0}/s ({:.1}x), parity {}",
+            record.engine,
             record.arena_pps,
             record.batch_pps,
             record.speedup_batch(),

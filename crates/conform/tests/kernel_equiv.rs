@@ -1,15 +1,19 @@
-//! Differential kernel-equivalence battery (PR 10's lockdown suite).
+//! Differential kernel-equivalence battery.
 //!
-//! The SoA gather engine and the fused multi-kernel evaluator replace
-//! the per-lane reference walk on every hot path — these tests are the
-//! contract that the replacement computes the *same function, bit for
-//! bit*. For seeded random circuits from the conform generator (plus
-//! the committed corpus), every case asserts via `f64::to_bits`:
+//! Each kernel's batch engine — the SoA gather for small kernels, the
+//! lane walk for large ones — and the fused multi-kernel evaluator
+//! stand in for the arena model on every hot path; these tests are the
+//! contract that they compute the *same function, bit for bit*. For
+//! seeded random circuits from the conform generator, exact cm85 and
+//! mux (walk-shaped), and the committed corpus, every case asserts via
+//! `f64::to_bits`:
 //!
-//! * reference interpreter ≡ SoA batch engine, per transition;
+//! * arena model ≡ reference walk ≡ the kernel's batch engine, per
+//!   transition (the arena is the independent oracle where the batch
+//!   engine *is* the walk);
 //! * either engine ≡ fused multi-kernel evaluation, per transition —
-//!   including many kernels (exact, degraded, constant) sharing one
-//!   fused call with ragged block lengths;
+//!   including many kernels (gather, walk, constant) sharing one fused
+//!   call with ragged block lengths;
 //! * 1-job ≡ 4-job [`TraceEngine`] shards (the pinned chunked-sum
 //!   association makes worker count invisible in the summary bits);
 //! * degraded (`Average`) and upper-bound (`UpperBound`) collapsed
@@ -20,9 +24,9 @@
 
 use charfree_conform::case_spec;
 use charfree_conform::corpus::load_corpus;
-use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine};
-use charfree_netlist::{blif, Library};
+use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder, PowerModel};
+use charfree_engine::{eval_fused, BatchEngine, FusedJob, Kernel, PatternBlock, TraceEngine};
+use charfree_netlist::{benchmarks, blif, Library, Netlist};
 use charfree_sim::MarkovSource;
 use std::path::PathBuf;
 
@@ -34,23 +38,36 @@ fn committed_corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
-/// Asserts reference ≡ SoA ≡ fused(single job) per transition and
-/// 1-job ≡ 4-job summaries, all via `to_bits`. Returns the kernel so
-/// callers can pool it into a multi-kernel fused call.
+/// Exact benchmark circuits checked beside the generated ones (with
+/// their degraded and upper-bound variants): large enough that their
+/// exact kernels are walk-shaped.
+const WALK_BENCHMARKS: [&str; 2] = ["cm85", "mux"];
+
+/// Asserts arena ≡ reference ≡ batch engine ≡ fused(single job) per
+/// transition and 1-job ≡ 4-job summaries, all via `to_bits`. Returns
+/// the kernel so callers can pool it into a multi-kernel fused call.
 fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]) -> Kernel {
     let kernel = Kernel::compile(model);
     let block = PatternBlock::from_patterns(&kernel, patterns);
     let transitions = patterns.len().saturating_sub(1);
 
+    let arena = model.capacitance_trace(patterns);
     let mut reference = vec![0.0; transitions];
     kernel.eval_batch_reference_into(&block, &mut reference);
-    let soa = kernel.eval_batch(&block);
-    assert_eq!(soa.len(), reference.len(), "{name}: length");
-    for (t, (r, s)) in reference.iter().zip(&soa).enumerate() {
+    let batch = kernel.eval_batch(&block);
+    let engine = kernel.batch_engine();
+    assert_eq!(arena.len(), reference.len(), "{name}: length");
+    assert_eq!(batch.len(), reference.len(), "{name}: length");
+    for (t, ((a, r), b)) in arena.iter().zip(&reference).zip(&batch).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            r.to_bits(),
+            "{name}: arena vs reference diverge at transition {t} ({a} vs {r})"
+        );
         assert_eq!(
             r.to_bits(),
-            s.to_bits(),
-            "{name}: reference vs SoA diverge at transition {t} ({r} vs {s})"
+            b.to_bits(),
+            "{name}: reference vs {engine} engine diverge at transition {t} ({r} vs {b})"
         );
     }
 
@@ -83,13 +100,51 @@ fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]
     kernel
 }
 
-/// One sweep tier: `cases` generated circuits, each checked exact,
-/// degraded (`Average`), and upper-bounded — then every produced
-/// kernel pooled into one fused call with ragged block lengths and
-/// bit-compared against its solo evaluation.
+/// Checks `netlist` exact, degraded (`Average`) and upper-bounded on
+/// `patterns`, counting each kernel's engine into `engines` (gather,
+/// walk). Returns the exact kernel.
+fn check_variants(
+    name: &str,
+    netlist: &Netlist,
+    patterns: &[Vec<bool>],
+    engines: &mut [usize; 2],
+) -> Kernel {
+    let exact = ModelBuilder::new(netlist).build();
+    let max_nodes = (exact.size() / 2).max(1);
+    let degraded = ModelBuilder::new(netlist)
+        .build()
+        .shrink(max_nodes, ApproxStrategy::Average);
+    let upper = ModelBuilder::new(netlist)
+        .build()
+        .shrink(max_nodes, ApproxStrategy::UpperBound);
+    let mut count = |kernel: &Kernel| match kernel.batch_engine() {
+        BatchEngine::Gather => engines[0] += 1,
+        BatchEngine::Walk => engines[1] += 1,
+    };
+    let kernel = check_engines_agree(name, &exact, patterns);
+    count(&kernel);
+    count(&check_engines_agree(
+        &format!("{name}/degraded"),
+        &degraded,
+        patterns,
+    ));
+    count(&check_engines_agree(
+        &format!("{name}/upper"),
+        &upper,
+        patterns,
+    ));
+    kernel
+}
+
+/// One sweep tier: `cases` generated circuits plus [`WALK_BENCHMARKS`],
+/// each checked exact, degraded (`Average`), and upper-bounded — then
+/// pooled kernels (gather, walk and constant) in one fused call with
+/// ragged block lengths, bit-compared against their solo evaluation.
+/// Every tier must run both engines.
 fn sweep(cases: usize, seed: u64, vectors: usize) {
     let library = Library::test_library();
     let mut pool: Vec<(String, Kernel, Vec<Vec<bool>>)> = Vec::new();
+    let mut engines = [0usize; 2];
     for i in 0..cases {
         let spec = case_spec(seed, i);
         let netlist = spec.build(&library).expect("generated circuits build");
@@ -100,25 +155,44 @@ fn sweep(cases: usize, seed: u64, vectors: usize) {
         // boundaries, so partial groups and inert trailing groups are
         // always in play.
         let patterns = source.sequence(2 + (vectors + 37 * i) % (4 * vectors));
-        let exact = ModelBuilder::new(&netlist).build();
-        let max_nodes = (exact.size() / 2).max(1);
-        let degraded = ModelBuilder::new(&netlist)
-            .build()
-            .shrink(max_nodes, ApproxStrategy::Average);
-        let upper = ModelBuilder::new(&netlist)
-            .build()
-            .shrink(max_nodes, ApproxStrategy::UpperBound);
-        let name = spec.name.clone();
-        let kernel = check_engines_agree(&name, &exact, &patterns);
-        check_engines_agree(&format!("{name}/degraded"), &degraded, &patterns);
-        check_engines_agree(&format!("{name}/upper"), &upper, &patterns);
+        let kernel = check_variants(&spec.name, &netlist, &patterns, &mut engines);
         if pool.len() < 24 {
-            pool.push((name, kernel, patterns));
+            pool.push((spec.name.clone(), kernel, patterns));
         }
     }
+    for (i, name) in WALK_BENCHMARKS.iter().enumerate() {
+        let netlist = benchmarks::by_name(name, &library).expect("known benchmark");
+        let (sp, st) = OPERATING_POINTS[i % OPERATING_POINTS.len()];
+        let mut source = MarkovSource::new(netlist.num_inputs(), sp, st, seed ^ (0xB0 + i as u64))
+            .expect("feasible statistics");
+        let patterns = source.sequence(2 + vectors + 61 * i);
+        let kernel = check_variants(name, &netlist, &patterns, &mut engines);
+        assert_eq!(kernel.batch_engine(), BatchEngine::Walk, "exact {name}");
+        pool.push((name.to_string(), kernel, patterns));
+    }
+    assert!(
+        engines[0] > 0 && engines[1] > 0,
+        "every tier runs both batch engines (gather, walk): {engines:?}"
+    );
+    // A constant kernel rides along in the pooled call.
+    let constant = ModelBuilder::new(&benchmarks::decod(&library))
+        .build()
+        .shrink(1, ApproxStrategy::Average);
+    let mut source = MarkovSource::new(constant.num_inputs(), 0.5, 0.4, seed ^ 0xC0)
+        .expect("feasible statistics");
+    let patterns = source.sequence(2 + vectors / 2);
+    let kernel = check_engines_agree("constant", &constant, &patterns);
+    assert_eq!(kernel.num_instrs(), 0, "shrink(1) collapses to a constant");
+    pool.push(("constant".to_owned(), kernel, patterns));
 
     // All pooled kernels in ONE fused call (ragged lengths, mixed
-    // shapes) must match their solo SoA evaluations bit for bit.
+    // shapes and engines) must match their solo evaluations bit for
+    // bit.
+    let is_engine = |e: BatchEngine| {
+        pool.iter()
+            .any(|(_, k, _)| k.num_instrs() > 0 && k.batch_engine() == e)
+    };
+    assert!(is_engine(BatchEngine::Gather) && is_engine(BatchEngine::Walk));
     let blocks: Vec<PatternBlock> = pool
         .iter()
         .map(|(_, kernel, patterns)| PatternBlock::from_patterns(kernel, patterns))
@@ -163,9 +237,10 @@ fn kernel_equivalence_full_sweep() {
 }
 
 /// Every committed combinational corpus repro replays through the
-/// reference ≡ SoA ≡ fused battery on its recorded trace (sequential
-/// repros go through the sequential lattice in the conform sweep
-/// instead — the fused path is exercised there via `trace_fused`).
+/// arena ≡ reference ≡ batch engine ≡ fused battery on its recorded
+/// trace (sequential repros go through the sequential lattice in the
+/// conform sweep instead — the fused path is exercised there via
+/// `trace_fused`).
 #[test]
 fn corpus_repros_replay_through_all_engines() {
     let repros = load_corpus(&committed_corpus_dir()).expect("committed corpus loads");

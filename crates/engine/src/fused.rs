@@ -3,7 +3,8 @@
 //! The SoA engine evaluates a kernel breadth-first: one ascending
 //! gather sweep computes every state's 256-lane mask row from its
 //! predecessors (see [`crate::soa`]). [`eval_fused`] runs *N
-//! independent kernels'* sweeps interleaved over a shared trace window
+//! independent gather-shaped kernels'* sweeps interleaved over a shared
+//! trace window
 //! — round `s` gathers kernel 0's next level range, then kernel 1's, …
 //! — so the load/store streams of unrelated programs overlap instead
 //! of draining one kernel's working set before the next warms up, and
@@ -15,13 +16,17 @@
 //! macro's packed block for a flush window to one [`eval_fused`] call
 //! instead of looping kernels one at a time.
 //!
+//! Kernels whose [`BatchEngine`] is the lane walk (large kernels, and
+//! constant ones) have no gather sweep to interleave: they are walked up
+//! front and skip the lockstep rounds.
+//!
 //! Fusion changes scheduling only — every lane still flows through its
-//! own kernel's SoA program into the same terminal slot — so results
+//! own kernel's program into the same terminal slot — so results
 //! are f64 bit-identical to per-kernel [`Kernel::eval_batch_into`]
 //! calls (the kernel-equivalence suites enforce it).
 
 use crate::block::PatternBlock;
-use crate::kernel::{Kernel, TERMINAL_BIT};
+use crate::kernel::{BatchEngine, Kernel};
 use crate::soa::{MaskRow, CHUNK_GROUPS, GROUP_LANES, ZERO_ROW};
 
 /// One kernel's share of a fused evaluation: its packed block and the
@@ -44,10 +49,10 @@ struct Cursor {
     round: usize,
 }
 
-/// Evaluates every job's block in one fused pass: per chunk of
-/// [`CHUNK_GROUPS`] 64-lane groups, all jobs with lanes there advance
-/// together, one level-range gather per kernel per round (see module
-/// docs).
+/// Evaluates every job's block in one fused pass: walk-shaped jobs up
+/// front, then per chunk of [`CHUNK_GROUPS`] 64-lane groups, all
+/// gather-shaped jobs with lanes there advance together, one
+/// level-range gather per kernel per round (see module docs).
 ///
 /// # Panics
 ///
@@ -55,23 +60,22 @@ struct Cursor {
 /// narrower than its kernel's variable count.
 pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
     let mut max_groups = 0usize;
-    for job in jobs.iter() {
+    for job in jobs.iter_mut() {
         assert_eq!(job.out.len(), job.block.len(), "output length mismatch");
         assert!(
             job.block.num_vars() >= job.kernel.num_vars() as usize,
             "pattern block is narrower than the kernel"
         );
-        max_groups = max_groups.max(job.block.len().div_ceil(GROUP_LANES));
-    }
-    // Constant kernels read no input; fill them up front.
-    for job in jobs.iter_mut() {
-        if job.kernel.soa.is_constant() {
-            let value = job.kernel.terminals[(job.kernel.root & !TERMINAL_BIT) as usize];
-            job.out.fill(value);
+        match job.kernel.batch_engine() {
+            BatchEngine::Walk => job.kernel.walk_into(job.block, job.out),
+            BatchEngine::Gather => {
+                max_groups = max_groups.max(job.block.len().div_ceil(GROUP_LANES));
+            }
         }
     }
     // Per-job scratch: one mask row per state (zeroed once — unwritten
-    // rows must stay zero) and one per-chunk selector table.
+    // rows must stay zero) and one per-chunk selector table; both empty
+    // for walk-shaped jobs, whose SoA program is empty.
     let mut masks: Vec<Vec<MaskRow>> = jobs
         .iter()
         .map(|job| vec![ZERO_ROW; job.kernel.soa.num_states()])
@@ -85,7 +89,9 @@ pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
     while g0 < max_groups {
         active.clear();
         for (j, job) in jobs.iter().enumerate() {
-            if g0 * GROUP_LANES < job.block.len() && !job.kernel.soa.is_constant() {
+            if g0 * GROUP_LANES < job.block.len()
+                && job.kernel.batch_engine() == BatchEngine::Gather
+            {
                 active.push(Cursor { job: j, round: 0 });
             }
         }
@@ -159,7 +165,8 @@ mod tests {
             ModelBuilder::new(&benchmarks::decod(&library)).build(),
             ModelBuilder::new(&benchmarks::cm85(&library)).build(),
             ModelBuilder::new(&benchmarks::mux(&library)).build(),
-            // A constant kernel rides along in the same fused call.
+            // A constant kernel rides along in the same fused call
+            // (mux and cm85 are exact, so walk-shaped).
             ModelBuilder::new(&benchmarks::decod(&library))
                 .build()
                 .shrink(1, ApproxStrategy::Average),
@@ -185,6 +192,8 @@ mod tests {
                 .collect();
             eval_fused(&mut jobs);
         }
+        let engines: Vec<BatchEngine> = kernels.iter().map(Kernel::batch_engine).collect();
+        assert!(engines.contains(&BatchEngine::Gather) && engines.contains(&BatchEngine::Walk));
         for ((kernel, block), fused) in kernels.iter().zip(&blocks).zip(&fused_out) {
             let solo = kernel.eval_batch(block);
             assert_eq!(solo.len(), fused.len());

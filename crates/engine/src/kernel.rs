@@ -82,15 +82,19 @@ pub struct Kernel {
     /// `true` when the source model used the interleaved ordering (the
     /// only ordering whose transition measure is chain-expressible).
     pub(crate) interleaved: bool,
-    /// Batch-evaluation program derived from `instrs` (never persisted):
+    /// Lane-walk program derived from `instrs` (never persisted):
     /// level-fused 4-way dispatch with terminal references remapped to
     /// self-looping pseudo-instructions appended after the real ones —
-    /// see [`Kernel::rebuild_program`]. Kept as the differential
-    /// *reference interpreter* ([`Kernel::eval_batch_reference_into`]);
-    /// the hot path is the level-packed SoA program below.
+    /// see [`Kernel::rebuild_program`]. The batch engine of walk-shaped
+    /// kernels, and for every kernel the differential *reference
+    /// interpreter* ([`Kernel::eval_batch_reference_into`]).
     pub(crate) program: Vec<FusedInstr>,
-    /// Level-packed SoA program (never persisted): the default batch
-    /// engine — see [`crate::soa`].
+    /// Which batch engine evaluates this kernel — a fixed rule on the
+    /// kernel's shape, see [`BatchEngine`].
+    pub(crate) engine: BatchEngine,
+    /// Level-packed SoA program (never persisted): the batch engine of
+    /// gather-shaped kernels — see [`crate::soa`]. Left empty (never
+    /// built) for walk-shaped ones.
     pub(crate) soa: SoaProgram,
     /// Longest root-to-terminal path in `instrs` (edges). `0` for
     /// constant kernels.
@@ -99,6 +103,43 @@ pub struct Kernel {
     /// walk's iteration bound.
     pub(crate) fused_depth: u32,
 }
+
+/// The batch engine a kernel evaluates with, chosen once per kernel
+/// from its shape in [`Kernel::rebuild_program`] (so compile and `.cfk`
+/// load choose alike) — never from a flag or setting.
+///
+/// The two engines cost differently: the SoA gather does work
+/// proportional to *every* edge of the diagram per 256 lanes, the lane
+/// walk work proportional to one path per lane. A kernel is walked when
+/// it has more than 64 instructions per level of depth
+/// (`WALK_INSTRS_PER_LEVEL`); constant kernels are zero-step walks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchEngine {
+    /// The level-packed SoA gather: small or shallow kernels.
+    Gather,
+    /// The 8-lane level-fused walk: large kernels, and constant ones.
+    Walk,
+}
+
+/// Lower-case name (`gather` / `walk`) for reports and JSON.
+impl std::fmt::Display for BatchEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            BatchEngine::Gather => "gather",
+            BatchEngine::Walk => "walk",
+        })
+    }
+}
+
+/// The shape rule's crossover: kernels with more instructions than this
+/// many per level of depth are walked. Calibrated on a 2-vCPU x86-64
+/// host with the AVX2 gather (kernel time alone, 4096 Markov transitions
+/// at sp 0.5 / st 0.3): the gather wins up to about 50 instructions per
+/// level (decod at 7: 2.3 vs 12.8 ns per transition; x2 exact at 51: 17–22
+/// vs 25–52 ns), the two tie near 120 (parity, pcle), and the walk wins
+/// from cm150 exact (183) on, by 8× on exact mux and 130× on exact alu4.
+/// DESIGN.md §18 has the whole table.
+pub(crate) const WALK_INSTRS_PER_LEVEL: usize = 64;
 
 /// One 4-way batch-program step: test diagram variables `v1` and `v2`
 /// and continue at `succ[v1_bit·2 + v2_bit]`. Successors are *program*
@@ -176,6 +217,7 @@ impl Kernel {
             xf_vars,
             interleaved: ordering == charfree_core::VariableOrdering::Interleaved,
             program: Vec::new(),
+            engine: BatchEngine::Walk,
             soa: SoaProgram::default(),
             depth: 0,
             fused_depth: 0,
@@ -184,8 +226,10 @@ impl Kernel {
         kernel
     }
 
-    /// Derives the batch program from `instrs`/`terminals` (called after
-    /// compilation and after loading from disk).
+    /// Derives the batch programs from `instrs`/`terminals` (called after
+    /// compilation and after loading from disk), and chooses the batch
+    /// engine from persisted fields only, so a loaded kernel chooses
+    /// like the compiled one.
     ///
     /// Two transformations make the batched walk branch-free and short:
     ///
@@ -282,7 +326,18 @@ impl Kernel {
         } else {
             fused[self.root as usize]
         };
-        self.soa = SoaProgram::build(&self.instrs, self.terminals.len(), self.root, self.num_vars);
+        self.engine =
+            if self.depth == 0 || self.instrs.len() > WALK_INSTRS_PER_LEVEL * self.depth as usize {
+                BatchEngine::Walk
+            } else {
+                BatchEngine::Gather
+            };
+        self.soa = match self.engine {
+            BatchEngine::Gather => {
+                SoaProgram::build(&self.instrs, self.terminals.len(), self.root, self.num_vars)
+            }
+            BatchEngine::Walk => SoaProgram::default(),
+        };
     }
 
     /// Display name inherited from the source model.
@@ -380,21 +435,21 @@ impl Kernel {
         }
     }
 
-    /// Number of populated pair levels in the SoA program — the exact
-    /// step count of a full-depth batched walk.
-    pub fn num_levels(&self) -> usize {
-        self.soa.num_levels()
+    /// The batch engine this kernel evaluates with (read-only: a fixed
+    /// rule on the kernel's shape, see [`BatchEngine`]).
+    pub fn batch_engine(&self) -> BatchEngine {
+        self.engine
     }
 
     /// Evaluates every transition lane of a packed [`PatternBlock`] into
     /// `out` (which must be exactly `block.len()` long).
     ///
-    /// This is the level-packed SoA engine (see [`crate::soa`]): one
-    /// ascending gather sweep computes every state's 64-bit lane masks
-    /// from its predecessors via per-level selector rows, 256 lanes per
-    /// pass — f64 bit-identical to
-    /// [`Kernel::eval_batch_reference_into`] by construction, and
-    /// enforced by the kernel-equivalence suites.
+    /// Runs the kernel's [`BatchEngine`]: the level-packed SoA gather
+    /// (see [`crate::soa`]; one ascending sweep computes every state's
+    /// lane masks from its predecessors, 256 lanes per pass) or the lane
+    /// walk of [`Kernel::eval_batch_reference_into`]. Either is f64
+    /// bit-identical to the reference walk, enforced by the
+    /// kernel-equivalence suites.
     ///
     /// # Panics
     ///
@@ -423,25 +478,24 @@ impl Kernel {
             block.num_vars() >= self.num_vars as usize,
             "pattern block is narrower than the kernel"
         );
-        if self.soa.is_constant() {
-            // Constant kernel: the root is a terminal.
-            out.fill(self.terminals[(self.root & !TERMINAL_BIT) as usize]);
-            return;
+        match self.engine {
+            BatchEngine::Gather => self.soa.eval_block(
+                &self.terminals,
+                block,
+                out,
+                &mut scratch.masks,
+                &mut scratch.sels,
+            ),
+            BatchEngine::Walk => self.walk_into(block, out),
         }
-        self.soa.eval_block(
-            &self.terminals,
-            block,
-            out,
-            &mut scratch.masks,
-            &mut scratch.sels,
-        );
     }
 
-    /// Evaluates a packed [`PatternBlock`] through the pre-SoA
-    /// level-fused interpreter (groups of eight lanes over the 4-way
-    /// dispatch program). Kept as the *differential reference* for the
-    /// kernel-equivalence battery: it shares no layout with the SoA
-    /// engine yet must agree with it f64 bit-exactly on every block.
+    /// Evaluates a packed [`PatternBlock`] through the level-fused lane
+    /// walk (groups of eight lanes over the 4-way dispatch program). The
+    /// batch engine of walk-shaped kernels, and the *differential
+    /// reference* for the kernel-equivalence battery: it shares no
+    /// layout with the SoA gather yet must agree with it f64 bit-exactly
+    /// on every block.
     ///
     /// # Panics
     ///
@@ -453,6 +507,12 @@ impl Kernel {
             block.num_vars() >= self.num_vars as usize,
             "pattern block is narrower than the kernel"
         );
+        self.walk_into(block, out);
+    }
+
+    /// The lane walk behind [`Kernel::eval_batch_reference_into`], for
+    /// callers that checked the block and output shapes already.
+    pub(crate) fn walk_into(&self, block: &PatternBlock, out: &mut [f64]) {
         if self.depth == 0 {
             // Constant kernel: the root is a terminal.
             out.fill(self.terminals[(self.root & !TERMINAL_BIT) as usize]);

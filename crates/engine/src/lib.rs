@@ -13,15 +13,17 @@
 //!   ([`Kernel::save`] / [`Kernel::load`]), and validated on load.
 //! * [`PatternBlock`] — column-packed `u64` bit-matrix staging for
 //!   transition streams, one word per diagram variable per 64
-//!   transitions; [`Kernel::eval_batch`] consumes it allocation-free
-//!   through a level-packed SoA program (see [`soa`](self) internals):
-//!   64-lane branchless pair-level steps, bit-identical to the retained
-//!   reference interpreter ([`Kernel::eval_batch_reference_into`]).
+//!   transitions; [`Kernel::eval_batch`] consumes it through the
+//!   kernel's [`BatchEngine`], chosen once from the kernel's shape: a
+//!   level-packed SoA gather (see [`soa`](self) internals; 256-lane
+//!   branchless pair-level rounds) for small or shallow kernels, the
+//!   8-lane level-fused walk behind [`Kernel::eval_batch_reference_into`]
+//!   for large ones. Both are bit-identical to that reference walk.
 //! * [`eval_fused`] — the fused multi-kernel evaluator: one pass over a
-//!   shared trace window advances N macros' programs together
-//!   (interleaved pair-level rounds for memory-level parallelism);
-//!   feeds `charfree-seq`'s cycle stepper and `charfree-serve`'s batch
-//!   dispatcher.
+//!   shared trace window advances N macros' gather programs together
+//!   (interleaved pair-level rounds for memory-level parallelism;
+//!   walk-shaped macros are walked up front); feeds `charfree-seq`'s
+//!   cycle stepper and `charfree-serve`'s batch dispatcher.
 //! * [`TraceEngine`] — chunked, deterministic multi-threaded trace
 //!   evaluation: results are bit-identical for any `--jobs` value, in
 //!   resident and streaming mode alike.
@@ -50,4 +52,4 @@ pub use block::PatternBlock;
 pub use compiled::CompiledModel;
 pub use engine::{TraceEngine, TraceSummary, DEFAULT_CHUNK};
 pub use fused::{eval_fused, FusedJob};
-pub use kernel::{Instr, Kernel};
+pub use kernel::{BatchEngine, Instr, Kernel};

@@ -187,6 +187,7 @@ impl Kernel {
             xf_vars,
             interleaved,
             program: Vec::new(),
+            engine: crate::kernel::BatchEngine::Walk,
             soa: crate::soa::SoaProgram::default(),
             depth: 0,
             fused_depth: 0,
@@ -200,9 +201,10 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charfree_core::ModelBuilder;
+    use crate::{BatchEngine, PatternBlock};
+    use charfree_core::{ApproxStrategy, ModelBuilder};
     use charfree_netlist::{benchmarks, Library};
-    use charfree_sim::ExhaustivePairs;
+    use charfree_sim::{ExhaustivePairs, MarkovSource};
 
     fn round_trip(kernel: &Kernel) -> Kernel {
         let mut buf = Vec::new();
@@ -225,6 +227,37 @@ mod tests {
                 kernel.eval_transition(&xi, &xf).to_bits(),
                 "xi={xi:?} xf={xf:?}"
             );
+        }
+        // The batch engine is derived from persisted fields only: every
+        // engine fixture (gather, walk, constant) loads choosing the
+        // engine it compiled with, and batch-evaluates alike.
+        let decod = || ModelBuilder::new(&benchmarks::decod(&library)).build();
+        let fixtures = [
+            (decod(), BatchEngine::Gather),
+            (
+                ModelBuilder::new(&benchmarks::parity(&library)).build(),
+                BatchEngine::Walk,
+            ),
+            (
+                decod().shrink(1, ApproxStrategy::Average),
+                BatchEngine::Walk,
+            ),
+        ];
+        for (model, engine) in fixtures {
+            let kernel = Kernel::compile(&model);
+            let back = round_trip(&kernel);
+            assert_eq!(kernel.batch_engine(), engine, "{}", kernel.name());
+            assert_eq!(
+                back.batch_engine(),
+                kernel.batch_engine(),
+                "{}",
+                kernel.name()
+            );
+            let mut source =
+                MarkovSource::new(model.num_inputs(), 0.5, 0.4, 5).expect("feasible statistics");
+            let block = PatternBlock::from_patterns(&kernel, &source.sequence(300));
+            let (a, b) = (kernel.eval_batch(&block), back.eval_batch(&block));
+            assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Level-packed structure-of-arrays kernel programs.
 //!
-//! The classic batch interpreter ([`Kernel::eval_batch_reference_into`]
+//! The lane walk ([`Kernel::eval_batch_reference_into`]
 //! (crate::Kernel::eval_batch_reference_into)) walks the diagram one
 //! lane at a time: every lane loads an instruction, reads two pattern
 //! words *per lane per step*, and dispatches through a 4-way successor
@@ -37,11 +37,15 @@
 //!   the AVX2 path) turns into full-width vector ops.
 //!
 //! Total work per 256 lanes is `O(edges)` — independent of path
-//! lengths, which is what lets wide, shallow *and* narrow, deep kernels
-//! beat the per-lane walk. Because every pred's selectors partition its
-//! mask, each lane ends in exactly one terminal row: results are f64
-//! bit-identical to the reference walk by construction, and the
-//! kernel-equivalence suites enforce it.
+//! lengths, but proportional to the *whole* diagram, while the walk's
+//! work per lane is one path. The gather therefore wins on small or
+//! shallow kernels and loses on large ones (by 8× on exact mux's ~35k
+//! instructions and over 100× on exact alu4's ~324k), so it is only
+//! built for kernels the shape rule assigns to it
+//! ([`BatchEngine`](crate::BatchEngine)). Because every pred's selectors
+//! partition its mask, each lane ends in exactly one terminal row:
+//! results are f64 bit-identical to the reference walk by construction,
+//! and the kernel-equivalence suites enforce it.
 
 use crate::block::PatternBlock;
 use crate::kernel::{Instr, TERMINAL_BIT};
@@ -256,8 +260,7 @@ impl SoaProgram {
                     slot_of[key] = sel_plan.len() as u32;
                     sel_plan.push((step_of[new] << 4) | quadbits);
                 }
-                in_edges[t as usize]
-                    .push(((slot_of[key] as u64 * row) << 32) | (new as u64 * row));
+                in_edges[t as usize].push(((slot_of[key] as u64 * row) << 32) | (new as u64 * row));
             }
         }
         // Emit the degree-bucketed schedule: per round (one per level,
@@ -335,21 +338,10 @@ impl SoaProgram {
         }
     }
 
-    /// Number of populated pair levels (selector-table rows per chunk).
-    pub(crate) fn num_levels(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Total states (internal nodes + terminal rows) — the mask
     /// scratch holds one [`MaskRow`] per state.
     pub(crate) fn num_states(&self) -> usize {
         self.num_states
-    }
-
-    /// `true` when the program evaluates to a single terminal without
-    /// reading any input (the root *is* a terminal row).
-    pub(crate) fn is_constant(&self) -> bool {
-        self.root >= self.term_base
     }
 
     /// Selector rows needed per chunk (one per referenced
@@ -548,8 +540,8 @@ impl SoaProgram {
     /// [`CHUNK_GROUPS`] groups per pass. `masks`/`sels` are the
     /// reusable scratch buffers (sized and zero-initialised here).
     ///
-    /// Constant programs ([`SoaProgram::is_constant`]) must be handled
-    /// by the caller — the sweep assumes an internal root.
+    /// Only gather-shaped kernels get here: constant kernels are walked
+    /// (the sweep assumes an internal root).
     pub(crate) fn eval_block(
         &self,
         terminals: &[f64],
@@ -558,7 +550,7 @@ impl SoaProgram {
         masks: &mut Vec<MaskRow>,
         sels: &mut Vec<MaskRow>,
     ) {
-        debug_assert!(!self.is_constant(), "constant kernels never gather");
+        debug_assert!(self.root < self.term_base, "constant kernels are walked");
         if masks.len() < self.num_states {
             masks.clear();
             masks.resize(self.num_states, ZERO_ROW);

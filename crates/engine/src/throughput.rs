@@ -5,12 +5,13 @@
 //! per-pattern arena traversal on the [`AddPowerModel`] (the reference
 //! oracle), single-threaded compiled batch evaluation, and the parallel
 //! [`TraceEngine`](crate::TraceEngine) — and reports patterns/second plus
-//! kernel compile cost and footprint. Every run cross-checks the summed
-//! capacitance of the three paths so a speedup can never silently come
+//! kernel compile cost, footprint and batch engine. Every run checks
+//! the compiled summary against the arena trace reduced with the same
+//! chunk association, bit for bit, so a speedup can never silently come
 //! from computing something else.
 
-use crate::engine::TraceEngine;
-use crate::kernel::Kernel;
+use crate::engine::{TraceEngine, TraceSummary, DEFAULT_CHUNK};
+use crate::kernel::{BatchEngine, Kernel};
 use charfree_core::{AddPowerModel, PowerModel};
 use std::time::Instant;
 
@@ -34,6 +35,8 @@ pub struct ThroughputRecord {
     pub kernel_terminals: usize,
     /// Kernel memory footprint in bytes.
     pub kernel_bytes: usize,
+    /// The batch engine the kernel's shape chose.
+    pub engine: BatchEngine,
     /// Wall-clock seconds spent in [`Kernel::compile`].
     pub compile_seconds: f64,
     /// Transitions per timed repetition.
@@ -53,7 +56,8 @@ pub struct ThroughputRecord {
     pub mean_ff_arena: f64,
     /// Mean switched capacitance (fF) from the compiled paths.
     pub mean_ff_compiled: f64,
-    /// `true` when the compiled sum matched the arena sum bit-for-bit.
+    /// `true` when the compiled sum and maximum matched the arena
+    /// trace's, reduced with the same chunk association, bit for bit.
     pub parity: bool,
 }
 
@@ -94,6 +98,7 @@ impl ThroughputRecord {
                 "  \"kernel_instrs\": {},\n",
                 "  \"kernel_terminals\": {},\n",
                 "  \"kernel_bytes\": {},\n",
+                "  \"engine\": \"{}\",\n",
                 "  \"compile_seconds\": {:.6},\n",
                 "  \"transitions\": {},\n",
                 "  \"jobs\": {},\n",
@@ -115,6 +120,7 @@ impl ThroughputRecord {
             self.kernel_instrs,
             self.kernel_terminals,
             self.kernel_bytes,
+            self.engine,
             self.compile_seconds,
             self.transitions,
             self.jobs,
@@ -180,15 +186,15 @@ pub fn measure(model: &AddPowerModel, patterns: &[Vec<bool>], jobs: usize) -> Th
     let kernel = Kernel::compile(model);
     let compile_seconds = compile_start.elapsed().as_secs_f64();
 
-    // Reference result (and parity baseline) from the arena oracle.
-    let arena_trace = model.capacitance_trace(patterns);
-    let arena_sum: f64 = arena_trace.iter().sum();
+    // Parity baseline: the arena oracle's trace, reduced with the
+    // engine's chunk association.
+    let arena = TraceSummary::from_values(&model.capacitance_trace(patterns), DEFAULT_CHUNK);
 
     let single = TraceEngine::new(&kernel).jobs(1);
     let many = TraceEngine::new(&kernel).jobs(jobs);
-    let compiled_sum = single.evaluate(patterns).sum_ff;
-    let parity = compiled_sum.to_bits() == arena_sum.to_bits()
-        || (compiled_sum - arena_sum).abs() <= 1e-9 * arena_sum.abs().max(1.0);
+    let compiled = single.evaluate(patterns);
+    let parity = compiled.sum_ff.to_bits() == arena.sum_ff.to_bits()
+        && compiled.max_ff.to_bits() == arena.max_ff.to_bits();
 
     let arena_pps = rate(transitions, || {
         let mut sum = 0.0;
@@ -213,6 +219,7 @@ pub fn measure(model: &AddPowerModel, patterns: &[Vec<bool>], jobs: usize) -> Th
         kernel_instrs: kernel.num_instrs(),
         kernel_terminals: kernel.num_terminals(),
         kernel_bytes: kernel.bytes(),
+        engine: kernel.batch_engine(),
         compile_seconds,
         transitions,
         jobs: many.num_jobs(),
@@ -220,8 +227,8 @@ pub fn measure(model: &AddPowerModel, patterns: &[Vec<bool>], jobs: usize) -> Th
         arena_pps,
         batch_pps,
         parallel_pps,
-        mean_ff_arena: arena_sum / transitions as f64,
-        mean_ff_compiled: compiled_sum / transitions as f64,
+        mean_ff_arena: arena.mean_ff(),
+        mean_ff_compiled: compiled.mean_ff(),
         parity,
     }
 }
@@ -236,22 +243,35 @@ mod tests {
     #[test]
     fn measure_reports_parity_and_positive_rates() {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::decod(&library)).build();
-        let mut source = MarkovSource::new(5, 0.5, 0.4, 9).expect("feasible");
-        let patterns = source.sequence(257);
-        let record = measure(&model, &patterns, 2);
-        assert!(record.parity, "compiled sum diverged from arena sum");
-        assert!(record.arena_pps > 0.0);
-        assert!(record.batch_pps > 0.0);
-        assert!(record.parallel_pps > 0.0);
-        assert_eq!(record.transitions, 256);
-        assert!(record.host_cores >= 1, "at least the running core");
-        let json = record.to_json();
-        assert!(json.contains("\"circuit\""));
-        assert!(json.contains("\"host_cores\""));
-        assert!(json.contains("\"parity\": true"));
-        let arr = records_to_json(&[record.clone(), record]);
-        assert!(arr.starts_with("[\n"));
-        assert!(arr.trim_end().ends_with(']'));
+        // decod is gather-shaped; exact parity (~3.7k instructions over
+        // depth 32) is walk-shaped.
+        for (netlist, engine) in [
+            (benchmarks::decod(&library), BatchEngine::Gather),
+            (benchmarks::parity(&library), BatchEngine::Walk),
+        ] {
+            let model = ModelBuilder::new(&netlist).build();
+            let mut source = MarkovSource::new(model.num_inputs(), 0.5, 0.4, 9).expect("feasible");
+            let patterns = source.sequence(257);
+            let record = measure(&model, &patterns, 2);
+            assert_eq!(record.engine, engine, "{}", record.circuit);
+            assert!(record.parity, "compiled summary diverged from arena trace");
+            assert_eq!(
+                record.mean_ff_compiled.to_bits(),
+                record.mean_ff_arena.to_bits()
+            );
+            assert!(record.arena_pps > 0.0);
+            assert!(record.batch_pps > 0.0);
+            assert!(record.parallel_pps > 0.0);
+            assert_eq!(record.transitions, 256);
+            assert!(record.host_cores >= 1, "at least the running core");
+            let json = record.to_json();
+            assert!(json.contains("\"circuit\""));
+            assert!(json.contains("\"host_cores\""));
+            assert!(json.contains(&format!("\"engine\": \"{engine}\"")));
+            assert!(json.contains("\"parity\": true"));
+            let arr = records_to_json(&[record.clone(), record]);
+            assert!(arr.starts_with("[\n"));
+            assert!(arr.trim_end().ends_with(']'));
+        }
     }
 }

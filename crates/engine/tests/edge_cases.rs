@@ -12,7 +12,7 @@
 //! "close", they are the same function.
 
 use charfree_core::{ApproxStrategy, ModelBuilder, PowerModel};
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine};
+use charfree_engine::{eval_fused, BatchEngine, FusedJob, Kernel, PatternBlock, TraceEngine};
 use charfree_netlist::{benchmarks, blif, Library};
 use charfree_sim::MarkovSource;
 
@@ -46,6 +46,13 @@ fn assert_all_paths_agree(
     patterns: &[Vec<bool>],
 ) {
     let kernel = Kernel::compile(model);
+    // Every fixture here is small, so only the constant one is walked
+    // and the others compare the walk against the SoA gather.
+    assert_eq!(
+        kernel.batch_engine() == BatchEngine::Walk,
+        kernel.num_instrs() == 0,
+        "{name}: batch engine"
+    );
     let block = PatternBlock::from_patterns(&kernel, patterns);
     let transitions = patterns.len().saturating_sub(1);
 

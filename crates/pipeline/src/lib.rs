@@ -757,10 +757,11 @@ impl PipelineCtx {
             nodes: Some(model.size() as u64),
             rungs: 0,
             detail: format!(
-                "{} instrs, {} terminals, {} bytes",
+                "{} instrs, {} terminals, {} bytes, {} engine",
                 kernel.num_instrs(),
                 kernel.num_terminals(),
-                kernel.bytes()
+                kernel.bytes(),
+                kernel.batch_engine()
             ),
         });
         kernel

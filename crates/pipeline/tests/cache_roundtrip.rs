@@ -58,6 +58,12 @@ fn warm_run_does_zero_symbolic_work_and_is_bit_identical() {
     assert!(cold.apply_steps() > 0, "a cold build does symbolic work");
     assert!(cold.telemetry.stage_ran(Stage::BuildAdd));
     assert!(cold.telemetry.cache_misses() >= 1);
+    // The compile stage names the batch engine the kernel's shape chose.
+    let engine = format!("{} engine", kernel.batch_engine());
+    assert!(cold.telemetry.events().iter().any(|e| matches!(
+        e,
+        Event::Stage { stage: Stage::CompileKernel, detail, .. } if detail.ends_with(&engine)
+    )));
     let stored = cold
         .telemetry
         .events()

@@ -775,10 +775,11 @@ fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
     );
     let _ = writeln!(
         report,
-        "  kernel: {} instrs, {} terminals, {} bytes, compiled in {:.3} ms",
+        "  kernel: {} instrs, {} terminals, {} bytes, {} engine, compiled in {:.3} ms",
         record.kernel_instrs,
         record.kernel_terminals,
         record.kernel_bytes,
+        record.engine,
         record.compile_seconds * 1e3
     );
     let _ = writeln!(
@@ -1800,10 +1801,12 @@ mod more_tests {
         ]))
         .expect("throughput runs");
         assert!(report.contains("compiled batch"), "{report}");
+        assert!(report.contains("gather engine"), "{report}");
         assert!(report.contains("parity with arena oracle: ok"), "{report}");
         let json = fs::read_to_string(&json_path).expect("json written");
         assert!(json.contains("\"parity\": true"), "{json}");
         assert!(json.contains("\"batch_patterns_per_sec\""), "{json}");
+        assert!(json.contains("\"engine\": \"gather\""), "{json}");
 
         // A saved .cfm works as the operand too.
         let model_path = model_file();
