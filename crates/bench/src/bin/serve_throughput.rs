@@ -8,7 +8,8 @@
 //!     [--jobs N]          server evaluation workers (default 1)
 //!     [--duration-secs S] measured window (default 5)
 //!     [--vectors N]       Markov vectors per request (default 256)
-//!     [--batch-window D]  coalescing window in microseconds (default 200)
+//!     [--batch-window D]  coalescing window in microseconds (default: the
+//!                         `ServeConfig` default, 0 = coalesce only backlog)
 //!     [--proto P]         wire protocol: json | binary (default json)
 //!     [--reactor-threads N] reactor shards in the server (default 2)
 //!     [--quick]           2 threads x 1 second (CI smoke run)
@@ -48,7 +49,7 @@ fn main() {
     let mut jobs = 1usize;
     let mut duration_secs = 5u64;
     let mut vectors = 256usize;
-    let mut window_us = 200u64;
+    let mut window_us: Option<u64> = None;
     let mut proto = Proto::Json;
     let mut reactor_threads = 2usize;
     let mut out = String::from("BENCH_serve.json");
@@ -80,10 +81,11 @@ fn main() {
                     .expect("--vectors takes a number")
             }
             "--batch-window" => {
-                window_us = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--batch-window takes microseconds")
+                window_us = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--batch-window takes microseconds"),
+                )
             }
             "--proto" => {
                 proto = args
@@ -114,7 +116,10 @@ fn main() {
     let mut config = ServeConfig::new(Library::test_library());
     config.addr = "127.0.0.1:0".to_owned();
     config.jobs = jobs;
-    config.batch_window = Duration::from_micros(window_us);
+    if let Some(us) = window_us {
+        config.batch_window = Duration::from_micros(us);
+    }
+    let window_us = config.batch_window.as_micros();
     config.max_inflight = threads.max(64);
     config.reactor_threads = reactor_threads;
     config.log = false;

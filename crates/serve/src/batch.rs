@@ -1,14 +1,22 @@
 //! Cross-connection micro-batching.
 //!
 //! Evaluation requests from *different* connections are coalesced into
-//! shared 64-lane [`PatternBlock`]s before hitting the kernel. A
-//! coordinator thread collects jobs for up to `batch_window`, groups
-//! them by kernel identity, and hands the whole window — every kernel
-//! group — to a fixed worker pool as one flush; the worker packs each
-//! group's transitions into its own block, evaluates **all groups in a
-//! single fused multi-kernel pass** ([`eval_fused`], interleaving the
-//! kernels' walks for memory-level parallelism), and scatters the
-//! per-transition values back to each requester.
+//! shared 64-lane [`PatternBlock`]s before hitting the kernel. There is
+//! no coordinator thread: the `--jobs` workers take jobs straight from
+//! the bounded submit queue. After its blocking receive, a worker
+//! drains whatever else is already queued (up to `MAX_BATCH_JOBS`),
+//! groups the jobs by kernel identity, packs each group's transitions
+//! into its own block, evaluates **all groups in a single fused
+//! multi-kernel pass** ([`eval_fused`], interleaving the kernels' walks
+//! for memory-level parallelism), and scatters the per-transition
+//! values back to each requester.
+//!
+//! With a zero `batch_window` (the default) nothing waits on a timer:
+//! jobs coalesce only from real queue backlog, so an idle server answers
+//! at once and a loaded one fills lanes from the work that piled up
+//! while the workers were busy. A non-zero window keeps a capped wait
+//! after the first job, closed early once the queue stays empty for a
+//! short grace period.
 //!
 //! # The bit-identical-batching invariant
 //!
@@ -32,9 +40,8 @@
 //! `sync_channel` and [`BatchHandle::try_submit`] hands the job back on
 //! a full queue instead of blocking the connection thread.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -43,7 +50,7 @@ use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceSummary, 
 
 use crate::stats::ServerStats;
 
-/// Cap on how many jobs one window may coalesce, bounding the memory a
+/// Cap on how many jobs one flush may coalesce, bounding the memory a
 /// single micro-batch can pin.
 const MAX_BATCH_JOBS: usize = 256;
 
@@ -125,18 +132,6 @@ pub enum JobError {
     Shed,
 }
 
-/// One kernel's jobs within a flush window.
-struct KernelGroup {
-    kernel: Arc<Kernel>,
-    jobs: Vec<Job>,
-}
-
-/// One coalescing window's worth of work: every kernel group collected
-/// during the window, evaluated together in one fused pass.
-struct MicroBatch {
-    groups: Vec<KernelGroup>,
-}
-
 /// Cloneable submission side of the dispatcher, held by connection
 /// threads. All handles must drop before
 /// [`Dispatcher::shutdown`] can finish draining.
@@ -156,50 +151,39 @@ impl BatchHandle {
     }
 }
 
-/// The micro-batching dispatcher: one coordinator thread + a fixed
-/// worker pool.
+/// The micro-batching dispatcher: a fixed worker pool that takes jobs
+/// straight from the bounded submit queue.
 pub struct Dispatcher {
     tx: Option<SyncSender<Job>>,
-    coordinator: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl Dispatcher {
-    /// Starts the dispatcher: jobs submitted through [`BatchHandle`]s
-    /// are collected for up to `window` (zero disables coalescing
-    /// delay), grouped by kernel, and executed on `workers` threads.
-    /// The submit queue holds at most `queue_cap` jobs; beyond that,
-    /// [`BatchHandle::try_submit`] sheds.
+    /// Starts the dispatcher: each of `workers` threads takes the next
+    /// job plus whatever is queued behind it, waiting up to `window`
+    /// for more (zero: no wait, coalesce only the backlog), and
+    /// executes them grouped by kernel. The submit queue holds at most
+    /// `queue_cap` jobs; beyond that, [`BatchHandle::try_submit`] sheds.
     pub fn start(
         workers: usize,
         window: Duration,
         queue_cap: usize,
         stats: Arc<ServerStats>,
     ) -> Dispatcher {
-        let workers = workers.max(1);
         let (tx, rx) = sync_channel::<Job>(queue_cap.max(1));
-        let (batch_tx, batch_rx) = sync_channel::<MicroBatch>(workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let coordinator = thread::Builder::new()
-            .name("charfree-batch-coord".to_owned())
-            .spawn(move || coordinate(rx, batch_tx, window))
-            .expect("spawn coordinator thread");
-
-        let pool = (0..workers)
+        let rx = Arc::new(Mutex::new(rx));
+        let pool = (0..workers.max(1))
             .map(|i| {
-                let batch_rx = Arc::clone(&batch_rx);
+                let rx = Arc::clone(&rx);
                 let stats = Arc::clone(&stats);
                 thread::Builder::new()
                     .name(format!("charfree-batch-worker-{i}"))
-                    .spawn(move || work(&batch_rx, &stats))
+                    .spawn(move || work(&rx, window, &stats))
                     .expect("spawn worker thread")
             })
             .collect();
-
         Dispatcher {
             tx: Some(tx),
-            coordinator: Some(coordinator),
             workers: pool,
         }
     }
@@ -215,94 +199,62 @@ impl Dispatcher {
         }
     }
 
-    /// Graceful drain: closes the submit queue, lets the coordinator
-    /// flush every job already accepted, and joins all threads. Every
+    /// Graceful drain: closes the submit queue, lets the workers
+    /// execute every job already accepted, and joins them. Every
     /// [`BatchHandle`] must already be dropped, otherwise the queue
     /// stays open and this blocks.
     pub fn shutdown(mut self) {
         self.tx.take();
-        if let Some(coordinator) = self.coordinator.take() {
-            let _ = coordinator.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-fn coordinate(rx: Receiver<Job>, batch_tx: SyncSender<MicroBatch>, window: Duration) {
-    loop {
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return, // every handle dropped and the queue is empty
-        };
-        let mut jobs = vec![first];
-        if !window.is_zero() {
-            let wake = Instant::now() + window;
-            // The full window is a *cap*, not a wait: once the submit
-            // queue has stayed empty for a short grace period the window
-            // closes early. Closed-loop clients cannot enqueue more work
-            // until their in-flight job completes, so waiting out the
-            // whole window after the queue runs dry is pure dead time.
-            let grace = (window / 16).max(Duration::from_micros(10));
-            while jobs.len() < MAX_BATCH_JOBS {
-                let now = Instant::now();
-                if now >= wake {
-                    break;
-                }
-                match rx.recv_timeout(grace.min(wake - now)) {
-                    Ok(job) => jobs.push(job),
-                    // On disconnect the flush below still runs; the next
-                    // outer recv() observes the closed queue and returns.
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
+/// Blocks for the next job, then takes whatever else is queued (and,
+/// with a non-zero `window`, whatever arrives before it closes), up to
+/// `MAX_BATCH_JOBS`. `None` once every handle is dropped and the queue
+/// is empty.
+fn collect(rx: &Mutex<Receiver<Job>>, window: Duration) -> Option<Vec<Job>> {
+    // Idle workers queue up on the lock; it is released before
+    // evaluation, so execution is never serialized behind it.
+    let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
+    let mut jobs = vec![rx.recv().ok()?];
+    let wake = Instant::now() + window;
+    // The window is a *cap*, not a wait: once the queue has stayed
+    // empty for a short grace period it closes early. Closed-loop
+    // clients cannot enqueue more work until their in-flight job
+    // completes, so waiting out the whole window is pure dead time.
+    let grace = (window / 16).max(Duration::from_micros(10));
+    while jobs.len() < MAX_BATCH_JOBS {
+        // On disconnect the flush still runs; the next receive observes
+        // the closed queue.
+        let next = if window.is_zero() {
+            rx.try_recv().ok()
+        } else {
+            let now = Instant::now();
+            if now >= wake {
+                break;
             }
-        }
-        // Group by kernel identity, preserving first-seen order so the
-        // flush is deterministic, then hand the whole window to one
-        // worker as a single fused multi-kernel flush.
-        let mut order: Vec<*const Kernel> = Vec::new();
-        let mut groups: HashMap<*const Kernel, KernelGroup> = HashMap::new();
-        for job in jobs {
-            let key = Arc::as_ptr(&job.kernel);
-            let entry = groups.entry(key).or_insert_with(|| {
-                order.push(key);
-                KernelGroup {
-                    kernel: Arc::clone(&job.kernel),
-                    jobs: Vec::new(),
-                }
-            });
-            entry.jobs.push(job);
-        }
-        let flush: Vec<KernelGroup> = order
-            .into_iter()
-            .filter_map(|k| groups.remove(&k))
-            .collect();
-        if batch_tx.send(MicroBatch { groups: flush }).is_err() {
-            return; // workers are gone; nothing left to flush to
+            rx.recv_timeout(grace.min(wake - now)).ok()
+        };
+        match next {
+            Some(job) => jobs.push(job),
+            None => break,
         }
     }
+    Some(jobs)
 }
 
-fn work(batch_rx: &Mutex<Receiver<MicroBatch>>, stats: &ServerStats) {
+fn work(rx: &Mutex<Receiver<Job>>, window: Duration, stats: &ServerStats) {
     let mut consecutive_panics: u32 = 0;
-    loop {
-        // Hold the lock only for the receive so idle workers queue up
-        // behind it rather than serializing evaluation.
-        let batch = {
-            let rx = batch_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
-        let MicroBatch { groups } = match batch {
-            Ok(batch) => batch,
-            Err(_) => return, // coordinator exited
-        };
+    while let Some(jobs) = collect(rx, window) {
         // Supervision: a panicking batch must not take the worker down.
         // The panic unwinds past the jobs' reply senders, so every
         // waiting connection observes a disconnected channel and
         // responds with a typed, retriable error — then the worker
         // restarts after a capped exponential backoff.
-        match catch_unwind(AssertUnwindSafe(|| execute(groups, stats))) {
+        match catch_unwind(AssertUnwindSafe(|| execute(jobs, stats))) {
             Ok(()) => consecutive_panics = 0,
             Err(_) => {
                 stats.record_worker_panic();
@@ -314,10 +266,11 @@ fn work(batch_rx: &Mutex<Receiver<MicroBatch>>, stats: &ServerStats) {
     }
 }
 
-fn execute(groups: Vec<KernelGroup>, stats: &ServerStats) {
+fn execute(jobs: Vec<Job>, stats: &ServerStats) {
     let now = Instant::now();
-    // Per-kernel staging: shed expired jobs, pack the survivors'
-    // transitions into one block per kernel, remember each job's span.
+    // Per-kernel staging, kernels in first-seen order: shed expired
+    // jobs, pack the survivors' transitions into one block per kernel,
+    // remember each job's span.
     struct Prepared {
         kernel: Arc<Kernel>,
         jobs: Vec<Job>,
@@ -325,45 +278,44 @@ fn execute(groups: Vec<KernelGroup>, stats: &ServerStats) {
         block: PatternBlock,
         values: Vec<f64>,
     }
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(groups.len());
+    let mut prepared: Vec<Prepared> = Vec::new();
     let mut poisoned = false;
-    for group in groups {
-        let mut live = Vec::with_capacity(group.jobs.len());
-        for job in group.jobs {
-            match job.deadline {
-                Some(deadline) if deadline <= now => {
-                    job.reply.complete(Err(JobError::DeadlineExceeded));
-                }
-                _ => live.push(job),
-            }
-        }
-        if live.is_empty() {
+    for job in jobs {
+        if job.deadline.is_some_and(|deadline| deadline <= now) {
+            job.reply.complete(Err(JobError::DeadlineExceeded));
             continue;
         }
-        poisoned |= live
+        poisoned |= job.fault == Some(JobFault::PanicInWorker);
+        let at = match prepared
             .iter()
-            .any(|job| job.fault == Some(JobFault::PanicInWorker));
-        let mut block = PatternBlock::new(group.kernel.num_vars() as usize);
-        let mut spans = Vec::with_capacity(live.len());
-        for job in &live {
-            let offset = block.len();
-            block.extend_from_patterns(&group.kernel, &job.patterns);
-            spans.push((offset, block.len() - offset));
-        }
-        let values = vec![0.0f64; block.len()];
-        prepared.push(Prepared {
-            kernel: group.kernel,
-            jobs: live,
-            spans,
-            block,
-            values,
-        });
+            .position(|p| Arc::ptr_eq(&p.kernel, &job.kernel))
+        {
+            Some(at) => at,
+            None => {
+                prepared.push(Prepared {
+                    kernel: Arc::clone(&job.kernel),
+                    jobs: Vec::new(),
+                    spans: Vec::new(),
+                    block: PatternBlock::new(job.kernel.num_vars() as usize),
+                    values: Vec::new(),
+                });
+                prepared.len() - 1
+            }
+        };
+        let p = &mut prepared[at];
+        let offset = p.block.len();
+        p.block.extend_from_patterns(&p.kernel, &job.patterns);
+        p.spans.push((offset, p.block.len() - offset));
+        p.jobs.push(job);
     }
     if poisoned {
         panic!("injected worker fault (JobFault::PanicInWorker)");
     }
+    for p in &mut prepared {
+        p.values = vec![0.0f64; p.block.len()];
+    }
 
-    // One fused multi-kernel pass over the whole flush window: every
+    // One fused multi-kernel pass over the whole flush: every
     // kernel group's block advances together.
     let mut fused: Vec<FusedJob> = prepared
         .iter_mut()
@@ -406,6 +358,8 @@ mod tests {
     use charfree_netlist::{benchmarks, Library, Netlist};
     use charfree_sim::MarkovSource;
 
+    type Reply = Receiver<Result<JobOutput, JobError>>;
+
     fn kernel_for(bench: fn(&Library) -> Netlist) -> Arc<Kernel> {
         let library = Library::test_library();
         let model = ModelBuilder::new(&bench(&library)).build();
@@ -418,43 +372,95 @@ mod tests {
             .sequence(vectors)
     }
 
-    #[test]
-    fn coalesced_jobs_match_offline_evaluation_bit_for_bit() {
+    fn job(kernel: &Arc<Kernel>, vectors: usize, seed: u64) -> (Job, Reply) {
+        let (reply_tx, reply_rx) = sync_channel(1);
+        let job = Job {
+            kernel: Arc::clone(kernel),
+            patterns: patterns_for(kernel, vectors, seed),
+            want_values: false,
+            deadline: None,
+            reply: Box::new(ChannelReply(reply_tx)),
+            fault: None,
+        };
+        (job, reply_rx)
+    }
+
+    /// A sink that reports when the worker reaches it, then holds the
+    /// worker until the test releases it: a deterministic way to keep
+    /// the only worker busy while the queue fills.
+    struct ParkingSink {
+        parked: SyncSender<()>,
+        release: Receiver<()>,
+        reply: SyncSender<Result<JobOutput, JobError>>,
+    }
+
+    impl ReplySink for ParkingSink {
+        fn complete(self: Box<Self>, result: Result<JobOutput, JobError>) {
+            let _ = self.parked.send(());
+            let _ = self.release.recv();
+            let _ = self.reply.send(result);
+        }
+    }
+
+    /// Submits a job whose completion parks the worker that runs it and
+    /// returns once that worker is parked, with nothing else queued.
+    /// Send on the returned sender to let the worker go.
+    fn park_worker(handle: &BatchHandle, kernel: &Arc<Kernel>) -> (SyncSender<()>, Reply) {
+        let (parked_tx, parked_rx) = sync_channel(1);
+        let (release_tx, release_rx) = sync_channel(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
+        let (mut parking, _) = job(kernel, 10, 999);
+        parking.reply = Box::new(ParkingSink {
+            parked: parked_tx,
+            release: release_rx,
+            reply: reply_tx,
+        });
+        assert!(handle.try_submit(parking).is_ok());
+        parked_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the worker reaches the parking job");
+        (release_tx, reply_rx)
+    }
+
+    /// Queues a mixed workload on two kernels behind a parked worker,
+    /// releases it, and checks that the backlog ran as one flush (one
+    /// batch per kernel) with every answer bit-identical to offline.
+    fn backlog_runs_as_one_flush(window: Duration) {
         let decod = kernel_for(benchmarks::decod);
         let cm85 = kernel_for(benchmarks::cm85);
         let stats = Arc::new(ServerStats::new());
-        let dispatcher = Dispatcher::start(2, Duration::from_millis(40), 64, Arc::clone(&stats));
+        let dispatcher = Dispatcher::start(1, window, 64, Arc::clone(&stats));
         let handle = dispatcher.handle();
+        let (release, parked_reply) = park_worker(&handle, &decod);
+        // The parking job's own batch is already on the books.
+        let (batches, requests) = (stats.batches(), stats.batched_requests());
 
-        // Mixed workload: three requests on one kernel (lengths chosen to
-        // land mid-64-lane-group) plus one on another, submitted together
-        // so the window coalesces them.
-        let cases: Vec<(Arc<Kernel>, usize, u64, bool)> = vec![
-            (Arc::clone(&decod), 130, 1, false),
-            (Arc::clone(&decod), 7, 2, true),
-            (Arc::clone(&decod), 4099, 3, false),
-            (Arc::clone(&cm85), 65, 4, true),
+        // Lengths land mid-64-lane-group; kernels interleave.
+        let cases: Vec<(&Arc<Kernel>, usize, u64, bool)> = vec![
+            (&decod, 130, 1, false),
+            (&cm85, 65, 4, true),
+            (&decod, 7, 2, true),
+            (&decod, 4099, 3, false),
+            (&cm85, 300, 5, false),
         ];
-        let mut replies = Vec::new();
-        for (kernel, vectors, seed, want_values) in &cases {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let job = Job {
-                kernel: Arc::clone(kernel),
-                patterns: patterns_for(kernel, *vectors, *seed),
-                want_values: *want_values,
-                deadline: None,
-                reply: Box::new(ChannelReply(reply_tx)),
-                fault: None,
-            };
-            assert!(handle.try_submit(job).is_ok());
-            replies.push(reply_rx);
-        }
-        for ((kernel, vectors, seed, want_values), reply) in cases.iter().zip(replies) {
+        let replies: Vec<Reply> = cases
+            .iter()
+            .map(|&(kernel, vectors, seed, want_values)| {
+                let (mut job, reply) = job(kernel, vectors, seed);
+                job.want_values = want_values;
+                assert!(handle.try_submit(job).is_ok());
+                reply
+            })
+            .collect();
+        release.send(()).expect("worker is parked");
+        assert!(parked_reply.recv().expect("parked job replies").is_ok());
+
+        for (&(kernel, vectors, seed, want_values), reply) in cases.iter().zip(replies) {
             let got = reply
-                .recv()
+                .recv_timeout(Duration::from_secs(30))
                 .expect("worker replies")
                 .expect("job evaluates");
-            let patterns = patterns_for(kernel, *vectors, *seed);
+            let patterns = patterns_for(kernel, vectors, seed);
             let offline = TraceEngine::new(kernel).jobs(2).evaluate(&patterns);
             assert_eq!(got.summary.transitions, offline.transitions);
             assert_eq!(got.summary.sum_ff.to_bits(), offline.sum_ff.to_bits());
@@ -471,27 +477,31 @@ mod tests {
                 (want, got) => panic!("want_values={want} but got values={}", got.is_some()),
             }
         }
+        assert_eq!(stats.batches() - batches, 2, "one batch per kernel");
+        assert_eq!(stats.batched_requests() - requests, cases.len() as u64);
         drop(handle);
         dispatcher.shutdown();
     }
 
     #[test]
+    fn coalesced_jobs_match_offline_evaluation_bit_for_bit() {
+        backlog_runs_as_one_flush(Duration::from_millis(40));
+    }
+
+    #[test]
+    fn a_zero_window_coalesces_the_backlog_without_a_timer() {
+        backlog_runs_as_one_flush(Duration::ZERO);
+    }
+
+    #[test]
     fn expired_deadlines_are_shed_with_a_typed_error() {
         let decod = kernel_for(benchmarks::decod);
-        let stats = Arc::new(ServerStats::new());
-        let dispatcher = Dispatcher::start(1, Duration::from_millis(5), 8, Arc::clone(&stats));
+        let dispatcher = Dispatcher::start(1, Duration::ZERO, 8, Arc::new(ServerStats::new()));
         let handle = dispatcher.handle();
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job {
-            kernel: Arc::clone(&decod),
-            patterns: patterns_for(&decod, 100, 9),
-            want_values: false,
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            reply: Box::new(ChannelReply(reply_tx)),
-            fault: None,
-        };
+        let (mut job, reply) = job(&decod, 100, 9);
+        job.deadline = Some(Instant::now() - Duration::from_millis(1));
         assert!(handle.try_submit(job).is_ok());
-        match reply_rx.recv().expect("reply arrives") {
+        match reply.recv().expect("reply arrives") {
             Err(JobError::DeadlineExceeded) => {}
             other => panic!("expired job must shed with a deadline error, got {other:?}"),
         }
@@ -502,31 +512,24 @@ mod tests {
     #[test]
     fn full_queue_hands_the_job_back() {
         let decod = kernel_for(benchmarks::decod);
-        let stats = Arc::new(ServerStats::new());
-        // Stall the single worker behind a long window so the queue
-        // backs up deterministically.
-        let dispatcher = Dispatcher::start(1, Duration::from_secs(5), 1, stats);
+        let dispatcher = Dispatcher::start(1, Duration::ZERO, 1, Arc::new(ServerStats::new()));
         let handle = dispatcher.handle();
-        let mut shed = 0;
-        let mut kept_replies = Vec::new();
+        let (release, parked_reply) = park_worker(&handle, &decod);
+
+        // The only worker is parked, so the 1-deep queue takes exactly
+        // one job of the burst and hands every other one back.
+        let mut kept = Vec::new();
         for seed in 0..8 {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let job = Job {
-                kernel: Arc::clone(&decod),
-                patterns: patterns_for(&decod, 10, seed),
-                want_values: false,
-                deadline: None,
-                reply: Box::new(ChannelReply(reply_tx)),
-                fault: None,
-            };
-            match handle.try_submit(job) {
-                Ok(()) => kept_replies.push(reply_rx),
-                Err(_returned_job) => shed += 1,
+            let (job, reply) = job(&decod, 10, seed);
+            if handle.try_submit(job).is_ok() {
+                kept.push(reply);
             }
         }
-        assert!(shed > 0, "a 1-deep queue must shed an 8-burst");
-        // Accepted jobs still complete once the window elapses.
-        for reply in kept_replies {
+        assert_eq!(kept.len(), 1, "a 1-deep queue must shed 7 of an 8-burst");
+
+        // Every accepted job completes once the worker is released.
+        release.send(()).expect("worker is parked");
+        for reply in std::iter::once(parked_reply).chain(kept) {
             assert!(reply
                 .recv_timeout(Duration::from_secs(30))
                 .expect("accepted job completes")
@@ -548,38 +551,22 @@ mod tests {
         for round in 0..3u64 {
             // A poisoned job: its reply channel must disconnect (typed
             // error at the connection layer), not hang.
-            let (poison_tx, poison_rx) = sync_channel(1);
-            let poison = Job {
-                kernel: Arc::clone(&decod),
-                patterns: patterns_for(&decod, 10, 100 + round),
-                want_values: false,
-                deadline: None,
-                reply: Box::new(ChannelReply(poison_tx)),
-                fault: Some(JobFault::PanicInWorker),
-            };
+            let (mut poison, poison_reply) = job(&decod, 10, 100 + round);
+            poison.fault = Some(JobFault::PanicInWorker);
             assert!(handle.try_submit(poison).is_ok());
             assert!(
-                poison_rx.recv_timeout(Duration::from_secs(30)).is_err(),
+                poison_reply.recv_timeout(Duration::from_secs(30)).is_err(),
                 "panicked batch must drop its replies"
             );
 
             // The restarted worker evaluates the next job bit-exactly.
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let job = Job {
-                kernel: Arc::clone(&decod),
-                patterns: patterns_for(&decod, 50, round),
-                want_values: false,
-                deadline: None,
-                reply: Box::new(ChannelReply(reply_tx)),
-                fault: None,
-            };
-            assert!(handle.try_submit(job).is_ok());
-            let got = reply_rx
+            let (healthy, reply) = job(&decod, 50, round);
+            assert!(handle.try_submit(healthy).is_ok());
+            let got = reply
                 .recv_timeout(Duration::from_secs(30))
                 .expect("restarted worker replies")
                 .expect("job evaluates");
-            let patterns = patterns_for(&decod, 50, round);
-            let offline = TraceEngine::new(&decod).evaluate(&patterns);
+            let offline = TraceEngine::new(&decod).evaluate(&patterns_for(&decod, 50, round));
             assert_eq!(got.summary.sum_ff.to_bits(), offline.sum_ff.to_bits());
         }
         assert_eq!(stats.worker_panics(), 3);

@@ -6,10 +6,10 @@
 //! all connection I/O and framing; a fixed service pool parses requests,
 //! runs admission and model resolution, and submits dispatcher jobs
 //! whose reply sinks post encoded responses back to the owning shard
-//! (see [`crate::frontend`]); the dispatcher coordinator + worker pool
-//! ([`crate::batch`]) evaluates, which is what lets requests from
-//! different sockets share 64-lane pattern blocks. No thread is ever
-//! parked per connection.
+//! (see [`crate::frontend`]); the dispatcher's worker pool
+//! ([`crate::batch`]) evaluates, coalescing queued jobs, which is what
+//! lets requests from different sockets share 64-lane pattern blocks.
+//! No thread is ever parked per connection.
 //!
 //! Admission control is two-layered: a connection cap at accept time
 //! (live connections = registrations minus closes, both lock-free
@@ -78,7 +78,9 @@ pub struct ServeConfig {
     /// Evaluation worker threads (must be at least 1; the CLI rejects 0
     /// at parse time).
     pub jobs: usize,
-    /// Micro-batch coalescing window (zero dispatches immediately).
+    /// Micro-batch coalescing window. Zero (the default) sets no timer:
+    /// workers coalesce only jobs already queued behind the one they
+    /// take. A non-zero window also waits up to that long for more.
     pub batch_window: Duration,
     /// Request-level admission cap.
     pub max_inflight: usize,
@@ -122,7 +124,7 @@ impl ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7878".to_owned(),
             jobs: 1,
-            batch_window: Duration::from_micros(200),
+            batch_window: Duration::ZERO,
             max_inflight: 64,
             max_vectors: 4_000_000,
             model_bytes_budget: 64 << 20,

@@ -117,6 +117,16 @@ impl ServerStats {
         self.idle_timeouts.load(Ordering::Relaxed)
     }
 
+    /// Executed micro-batches so far (one per kernel group of a flush).
+    pub fn batches(&self) -> u64 {
+        self.batches.load(Ordering::Relaxed)
+    }
+
+    /// Requests executed in micro-batches so far.
+    pub fn batched_requests(&self) -> u64 {
+        self.batched_requests.load(Ordering::Relaxed)
+    }
+
     /// Files one executed micro-batch: how many requests it coalesced
     /// and the mean lane occupancy of its 64-lane groups (1..=64).
     pub fn record_batch(&self, requests: usize, mean_lane_fill: usize) {

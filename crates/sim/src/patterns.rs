@@ -106,15 +106,12 @@ impl MarkovSource {
 
     /// Advances the chain and returns the next pattern.
     pub fn next_pattern(&mut self) -> Vec<bool> {
+        // One draw per bit, in bit order, whatever the state: the
+        // probability is selected, not the branch, so the loop has no
+        // data-dependent jump on the (random) state bits.
         for bit in &mut self.state {
-            let flip = if *bit {
-                self.rng.gen_bool(self.p10)
-            } else {
-                self.rng.gen_bool(self.p01)
-            };
-            if flip {
-                *bit = !*bit;
-            }
+            let p = if *bit { self.p10 } else { self.p01 };
+            *bit ^= self.rng.gen_bool(p);
         }
         self.state.clone()
     }
@@ -234,6 +231,40 @@ pub fn statistics_grid() -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over the bits of a sequence, one byte per bit and a
+    /// separator per pattern.
+    fn digest(seq: &[Vec<bool>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in seq
+            .iter()
+            .flat_map(|p| p.iter().map(|&b| u8::from(b)).chain([2]))
+        {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every committed number, corpus repro and served/offline `cmp`
+    /// depends on the exact draw order; these digests pin it.
+    #[test]
+    fn markov_sequences_are_pinned_by_digest() {
+        let cases: [(usize, f64, f64, u64, u64); 6] = [
+            (5, 0.5, 0.2, 1, 0xd400_390d_fe8d_9f4f),
+            (14, 0.5, 0.5, 7, 0xa7e7_51e7_35bc_3790),
+            (21, 0.4, 0.3, 0xC0FFEE, 0xf86c_0806_369d_dda7),
+            (21, 0.9, 0.15, 42, 0x075e_946d_b4f1_bcfc),
+            (14, 0.1, 0.2, 3, 0x2575_3f99_093c_dda2),
+            (1, 0.5, 1.0, 9, 0x725e_06ec_33a0_95d5),
+        ];
+        for (width, sp, st, seed, want) in cases {
+            let seq = MarkovSource::new(width, sp, st, seed)
+                .expect("feasible")
+                .sequence(300);
+            let got = digest(&seq);
+            assert_eq!(got, want, "width {width} sp {sp} st {st} seed {seed}");
+        }
+    }
 
     #[test]
     fn markov_hits_target_statistics() {

@@ -128,7 +128,9 @@ fn usage(prefix: &str) -> String {
          \n\
          `--jobs N` needs N >= 1; omit the flag to use one worker per\n\
          available core. results are bit-identical for every worker count.\n\
-         `--batch-window` takes `0`, `200us`, `5ms` or `1s`;\n\
+         `serve --batch-window` takes `0`, `200us`, `5ms` or `1s`; the\n\
+         default `0` sets no timer (workers coalesce only requests already\n\
+         queued), a non-zero window also waits up to that long for more;\n\
          `--model-bytes-budget` takes plain bytes or a K/M/G suffix.\n\
          `serve` drains gracefully on SIGTERM/SIGINT and exits 0; `client\n\
          --retries N` retries shed or retriable responses (and reconnects\n\
@@ -877,7 +879,12 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         .unwrap_or("127.0.0.1:7878")
         .to_owned();
     let jobs = parse_jobs(&mut flags)?;
-    let batch_window = parse_window(flags.value("--batch-window")?.unwrap_or("200us"))?;
+    // An unset `--batch-window`, and every field no flag sets, keeps
+    // the `ServeConfig` default.
+    let mut defaults = charfree_serve::ServeConfig::new(library);
+    if let Some(window) = flags.value("--batch-window")? {
+        defaults.batch_window = parse_window(window)?;
+    }
     let max_inflight: usize = flags.parse("--max-inflight", 64)?;
     let max_vectors: usize = flags.parse("--max-vectors", 4_000_000)?;
     let model_bytes_budget =
@@ -915,14 +922,11 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let config = charfree_serve::ServeConfig {
         addr,
         jobs,
-        batch_window,
         max_inflight,
         max_vectors,
         model_bytes_budget,
-        library,
         cache_dir,
         idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
-        max_connections: 64,
         reactor_threads,
         metrics_addr,
         log: !quiet,
@@ -931,7 +935,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             open_base: std::time::Duration::from_millis(breaker_open_ms.max(1)),
             ..charfree_serve::BreakerConfig::default()
         },
-        fault_io: None,
+        ..defaults
     };
     let server = charfree_serve::Server::start(config).map_err(|e| format!("serve: {e}"))?;
     // SIGTERM/SIGINT trigger the same graceful drain a `shutdown`
