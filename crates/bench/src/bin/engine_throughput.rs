@@ -113,9 +113,9 @@ fn main() {
     let mut items: Vec<String> = records.iter().map(|r| r.to_json()).collect();
     let mut all_parity = records.iter().all(|r| r.parity);
 
-    // The fused multi-macro entry: seqpipe2's two kernels advanced in
-    // one eval_fused pass over the shared trace, versus looping the
-    // macros one TraceEngine call at a time.
+    // The fused multi-macro entry: seqpipe2's two macros fed by one
+    // walk of the shared trace (`SeqModel::trace_fused`), versus
+    // looping the macros one TraceEngine call at a time.
     if filter.is_empty() || filter.iter().any(|f| f == "seqpipe2") {
         let (entry, parity) = fused_seqpipe2_entry(&library, vectors);
         items.push(entry);
@@ -141,9 +141,10 @@ fn main() {
     }
 }
 
-/// Measures seqpipe2 fused (one [`charfree_engine::eval_fused`] pass
-/// advancing both macros over the shared trace) against per-macro
-/// looping (one single-threaded `TraceEngine` call per macro), returns
+/// Measures seqpipe2 fused ([`SeqModel::trace_fused`]: one walk of the
+/// shared trace packs both macros' blocks, each evaluated with one
+/// batch call per flush) against per-macro looping (one
+/// single-threaded `TraceEngine` call per macro), returns
 /// the JSON record and whether the two traces stayed bit-identical.
 fn fused_seqpipe2_entry(library: &Library, vectors: usize) -> (String, bool) {
     let seq = blif::parse_seq(committed::SEQPIPE2).expect("committed seqpipe2 parses");

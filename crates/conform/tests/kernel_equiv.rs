@@ -1,19 +1,17 @@
 //! Differential kernel-equivalence battery.
 //!
 //! Each kernel's batch engine — the SoA gather for small kernels, the
-//! lane walk for large ones — and the fused multi-kernel evaluator
-//! stand in for the arena model on every hot path; these tests are the
-//! contract that they compute the *same function, bit for bit*. For
+//! lane walk for large ones — stands in for the arena model on every
+//! hot path; these tests are the contract that it computes the *same
+//! function, bit for bit*. For
 //! seeded random circuits from the conform generator, exact cm85 and
 //! mux (walk-shaped), and the committed corpus, every case asserts via
 //! `f64::to_bits`:
 //!
 //! * arena model ≡ reference walk ≡ the kernel's batch engine, per
 //!   transition (the arena is the independent oracle where the batch
-//!   engine *is* the walk);
-//! * either engine ≡ fused multi-kernel evaluation, per transition —
-//!   including many kernels (gather, walk, constant) sharing one fused
-//!   call with ragged block lengths;
+//!   engine *is* the walk), on gather, walk and constant kernels with
+//!   ragged trace lengths;
 //! * 1-job ≡ 4-job [`TraceEngine`] shards (the pinned chunked-sum
 //!   association makes worker count invisible in the summary bits);
 //! * degraded (`Average`) and upper-bound (`UpperBound`) collapsed
@@ -25,7 +23,7 @@
 use charfree_conform::case_spec;
 use charfree_conform::corpus::load_corpus;
 use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder, PowerModel};
-use charfree_engine::{eval_fused, BatchEngine, FusedJob, Kernel, PatternBlock, TraceEngine};
+use charfree_engine::{BatchEngine, Kernel, PatternBlock, TraceEngine};
 use charfree_netlist::{benchmarks, blif, Library, Netlist};
 use charfree_sim::MarkovSource;
 use std::path::PathBuf;
@@ -43,9 +41,8 @@ fn committed_corpus_dir() -> PathBuf {
 /// exact kernels are walk-shaped.
 const WALK_BENCHMARKS: [&str; 2] = ["cm85", "mux"];
 
-/// Asserts arena ≡ reference ≡ batch engine ≡ fused(single job) per
-/// transition and 1-job ≡ 4-job summaries, all via `to_bits`. Returns
-/// the kernel so callers can pool it into a multi-kernel fused call.
+/// Asserts arena ≡ reference ≡ batch engine per transition and 1-job ≡
+/// 4-job summaries, all via `to_bits`. Returns the kernel.
 fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]) -> Kernel {
     let kernel = Kernel::compile(model);
     let block = PatternBlock::from_patterns(&kernel, patterns);
@@ -68,20 +65,6 @@ fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]
             r.to_bits(),
             b.to_bits(),
             "{name}: reference vs {engine} engine diverge at transition {t} ({r} vs {b})"
-        );
-    }
-
-    let mut fused_out = vec![0.0; transitions];
-    eval_fused(&mut [FusedJob {
-        kernel: &kernel,
-        block: &block,
-        out: &mut fused_out,
-    }]);
-    for (t, (r, f)) in reference.iter().zip(&fused_out).enumerate() {
-        assert_eq!(
-            r.to_bits(),
-            f.to_bits(),
-            "{name}: reference vs fused diverge at transition {t} ({r} vs {f})"
         );
     }
 
@@ -137,13 +120,10 @@ fn check_variants(
 }
 
 /// One sweep tier: `cases` generated circuits plus [`WALK_BENCHMARKS`],
-/// each checked exact, degraded (`Average`), and upper-bounded — then
-/// pooled kernels (gather, walk and constant) in one fused call with
-/// ragged block lengths, bit-compared against their solo evaluation.
-/// Every tier must run both engines.
+/// each checked exact, degraded (`Average`), and upper-bounded, plus
+/// a constant kernel. Every tier must run both engines.
 fn sweep(cases: usize, seed: u64, vectors: usize) {
     let library = Library::test_library();
-    let mut pool: Vec<(String, Kernel, Vec<Vec<bool>>)> = Vec::new();
     let mut engines = [0usize; 2];
     for i in 0..cases {
         let spec = case_spec(seed, i);
@@ -155,10 +135,7 @@ fn sweep(cases: usize, seed: u64, vectors: usize) {
         // boundaries, so partial groups and inert trailing groups are
         // always in play.
         let patterns = source.sequence(2 + (vectors + 37 * i) % (4 * vectors));
-        let kernel = check_variants(&spec.name, &netlist, &patterns, &mut engines);
-        if pool.len() < 24 {
-            pool.push((spec.name.clone(), kernel, patterns));
-        }
+        check_variants(&spec.name, &netlist, &patterns, &mut engines);
     }
     for (i, name) in WALK_BENCHMARKS.iter().enumerate() {
         let netlist = benchmarks::by_name(name, &library).expect("known benchmark");
@@ -168,13 +145,11 @@ fn sweep(cases: usize, seed: u64, vectors: usize) {
         let patterns = source.sequence(2 + vectors + 61 * i);
         let kernel = check_variants(name, &netlist, &patterns, &mut engines);
         assert_eq!(kernel.batch_engine(), BatchEngine::Walk, "exact {name}");
-        pool.push((name.to_string(), kernel, patterns));
     }
     assert!(
         engines[0] > 0 && engines[1] > 0,
         "every tier runs both batch engines (gather, walk): {engines:?}"
     );
-    // A constant kernel rides along in the pooled call.
     let constant = ModelBuilder::new(&benchmarks::decod(&library))
         .build()
         .shrink(1, ApproxStrategy::Average);
@@ -183,43 +158,6 @@ fn sweep(cases: usize, seed: u64, vectors: usize) {
     let patterns = source.sequence(2 + vectors / 2);
     let kernel = check_engines_agree("constant", &constant, &patterns);
     assert_eq!(kernel.num_instrs(), 0, "shrink(1) collapses to a constant");
-    pool.push(("constant".to_owned(), kernel, patterns));
-
-    // All pooled kernels in ONE fused call (ragged lengths, mixed
-    // shapes and engines) must match their solo evaluations bit for
-    // bit.
-    let is_engine = |e: BatchEngine| {
-        pool.iter()
-            .any(|(_, k, _)| k.num_instrs() > 0 && k.batch_engine() == e)
-    };
-    assert!(is_engine(BatchEngine::Gather) && is_engine(BatchEngine::Walk));
-    let blocks: Vec<PatternBlock> = pool
-        .iter()
-        .map(|(_, kernel, patterns)| PatternBlock::from_patterns(kernel, patterns))
-        .collect();
-    let mut fused_out: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(_, _, patterns)| vec![0.0; patterns.len() - 1])
-        .collect();
-    {
-        let mut jobs: Vec<FusedJob> = pool
-            .iter()
-            .zip(&blocks)
-            .zip(fused_out.iter_mut())
-            .map(|(((_, kernel, _), block), out)| FusedJob { kernel, block, out })
-            .collect();
-        eval_fused(&mut jobs);
-    }
-    for (((name, kernel, _), block), fused) in pool.iter().zip(&blocks).zip(&fused_out) {
-        let solo = kernel.eval_batch(block);
-        for (t, (s, f)) in solo.iter().zip(fused).enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                f.to_bits(),
-                "{name}: solo vs pooled-fused diverge at transition {t}"
-            );
-        }
-    }
 }
 
 /// The CI smoke tier: 64 fixed-seed cases (x3 model variants each).
@@ -237,9 +175,9 @@ fn kernel_equivalence_full_sweep() {
 }
 
 /// Every committed combinational corpus repro replays through the
-/// arena ≡ reference ≡ batch engine ≡ fused battery on its recorded
-/// trace (sequential repros go through the sequential lattice in the
-/// conform sweep instead — the fused path is exercised there via
+/// arena ≡ reference ≡ batch engine battery on its recorded trace
+/// (sequential repros go through the sequential lattice in the conform
+/// sweep instead — the fused path is exercised there via
 /// `trace_fused`).
 #[test]
 fn corpus_repros_replay_through_all_engines() {

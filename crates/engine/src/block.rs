@@ -66,30 +66,6 @@ impl PatternBlock {
         &self.words[b * self.num_vars..(b + 1) * self.num_vars]
     }
 
-    /// Appends one complete diagram-variable assignment as a transition
-    /// lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` is narrower than `num_vars`.
-    pub fn push_assignment(&mut self, assignment: &[bool]) {
-        assert!(
-            assignment.len() >= self.num_vars,
-            "assignment narrower than the block"
-        );
-        let lane = self.len % 64;
-        if lane == 0 {
-            self.words.resize(self.words.len() + self.num_vars, 0);
-        }
-        let base = self.words.len() - self.num_vars;
-        for (v, &bit) in assignment.iter().take(self.num_vars).enumerate() {
-            if bit {
-                self.words[base + v] |= 1u64 << lane;
-            }
-        }
-        self.len += 1;
-    }
-
     /// Appends the `(xi, xf)` transition using `kernel`'s input-to-
     /// variable maps.
     ///
@@ -128,128 +104,36 @@ impl PatternBlock {
 
     /// Appends every consecutive transition of a pattern window.
     ///
-    /// Whole 64-transition groups take a transposed fast path built on
-    /// 8×8 byte tiles: eight patterns' bool rows are read eight
-    /// variables at a time as single unaligned `u64` loads (a bool *is*
-    /// a 0/1 byte), shift-merged into one word whose byte `v` holds the
-    /// eight rows' bits of variable `v`, and the bytes accumulated into
-    /// each variable's 64-lane word. The final-state word is the
-    /// initial-state gather shifted down one lane (transition `t`'s
-    /// final state is transition `t + 1`'s initial state) with the
-    /// window's next pattern filling the top bit. That replaces per-bit
-    /// read-modify-writes of memory with a handful of word ops per 64
-    /// packed bits and no data-dependent branches.
+    /// From a group boundary, whole 64-transition groups skip the
+    /// per-bit read-modify-writes of [`PatternBlock::push_transition`]:
+    /// each input's initial-state word is accumulated four pattern rows
+    /// per pass, and the final-state words are derived from it
+    /// (transition `t`'s final state is transition `t + 1`'s initial
+    /// state). Any remaining transitions are pushed one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern is narrower than `kernel.num_inputs()`.
     pub fn extend_from_patterns(&mut self, kernel: &Kernel, patterns: &[Vec<bool>]) {
-        // A `&[bool]` reinterpreted as bytes: every bool is a 0/1 byte
-        // with the same size and alignment.
-        #[inline(always)]
-        fn as_bytes(row: &[bool]) -> &[u8] {
-            // SAFETY: `bool` and `u8` have identical size, alignment,
-            // and every bool's byte is a valid u8.
-            unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u8>(), row.len()) }
-        }
-        /// Eight consecutive 0/1 bytes at `j` as one little-endian word
-        /// (byte `v` = variable `j + v`).
-        #[inline(always)]
-        fn load8(bytes: &[u8], j: usize) -> u64 {
-            assert!(j + 8 <= bytes.len(), "tile past the row");
-            // SAFETY: the 8-byte window is in bounds (just asserted);
-            // unaligned reads are explicit.
-            u64::from_le(unsafe { bytes.as_ptr().add(j).cast::<u64>().read_unaligned() })
-        }
-        /// Requests an upcoming pattern row into cache. Rows are
-        /// separate heap allocations reached through the window's
-        /// pointer array — an indirection the hardware prefetcher
-        /// cannot follow, so long traces otherwise stall on every row.
-        #[inline(always)]
-        fn prefetch_row(row: &[bool]) {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: prefetches have no memory effects at any address.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch(
-                    row.as_ptr().cast::<i8>(),
-                    core::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            let _ = row;
-        }
-        /// Pattern rows to run ahead of the pack loop.
-        const PREFETCH_ROWS: usize = 16;
         let total = patterns.len().saturating_sub(1);
         let mut t = 0usize;
-        // Fast path only from a group boundary (the worker loops clear
-        // and refill, so this is the common case).
         if self.len.is_multiple_of(64) && self.num_vars == kernel.num_vars() as usize {
             let n = kernel.num_inputs();
             let mut acc = std::mem::take(&mut self.acc);
-            acc.clear();
             acc.resize(n, 0);
             while total - t >= 64 {
                 acc.fill(0);
                 let rows = &patterns[t..t + 65];
-                if n < 8 {
-                    // Too narrow for byte tiles: plain row-major
-                    // accumulation, four rows per pass over `acc`.
-                    for (q, quad) in rows[..64].chunks_exact(4).enumerate() {
-                        let lane = 4 * q;
-                        for r in 0..4 {
-                            if let Some(row) = patterns.get(t + lane + PREFETCH_ROWS + r) {
-                                prefetch_row(row);
-                            }
-                        }
-                        let (r0, r1, r2, r3) =
-                            (&quad[0][..n], &quad[1][..n], &quad[2][..n], &quad[3][..n]);
-                        for (i, a) in acc.iter_mut().enumerate() {
-                            *a |= ((r0[i] as u64)
-                                | (r1[i] as u64) << 1
-                                | (r2[i] as u64) << 2
-                                | (r3[i] as u64) << 3)
-                                << lane;
-                        }
-                    }
-                    self.pack_group(kernel, &acc, &rows[64][..n]);
-                    t += 64;
-                    continue;
-                }
-                for (p, oct) in rows[..64].chunks_exact(8).enumerate() {
-                    let lane = 8 * p;
-                    for r in 0..8 {
-                        if let Some(row) = patterns.get(t + lane + PREFETCH_ROWS + r) {
-                            prefetch_row(row);
-                        }
-                    }
-                    let rs: [&[u8]; 8] = std::array::from_fn(|r| {
-                        let row = oct[r].as_slice();
-                        assert!(row.len() >= n, "pattern width mismatch");
-                        as_bytes(row)
-                    });
-                    // Full 8-variable tiles: bit `8v + r` of the merged
-                    // word is row `r`'s value of variable `j + v` (the
-                    // per-row shifts can't carry across byte slots).
-                    let mut j = 0usize;
-                    while j + 8 <= n {
-                        let mut y = 0u64;
-                        for (r, row) in rs.iter().enumerate() {
-                            y |= load8(row, j) << r;
-                        }
-                        for (v, a) in acc[j..j + 8].iter_mut().enumerate() {
-                            *a |= ((y >> (8 * v)) & 0xFF) << lane;
-                        }
-                        j += 8;
-                    }
-                    if j < n {
-                        // Ragged tail: re-read the row's final 8 bytes
-                        // (overlapping the previous tile, `n ≥ 8` here)
-                        // and extract only the not-yet-packed variables.
-                        let jj = n - 8;
-                        let mut y = 0u64;
-                        for (r, row) in rs.iter().enumerate() {
-                            y |= load8(row, jj) << r;
-                        }
-                        for (v, a) in acc[j..n].iter_mut().enumerate() {
-                            *a |= ((y >> (8 * (j + v - jj))) & 0xFF) << lane;
-                        }
+                for (q, quad) in rows[..64].chunks_exact(4).enumerate() {
+                    let lane = 4 * q;
+                    let (r0, r1, r2, r3) =
+                        (&quad[0][..n], &quad[1][..n], &quad[2][..n], &quad[3][..n]);
+                    for (i, a) in acc.iter_mut().enumerate() {
+                        *a |= ((r0[i] as u64)
+                            | (r1[i] as u64) << 1
+                            | (r2[i] as u64) << 2
+                            | (r3[i] as u64) << 3)
+                            << lane;
                     }
                 }
                 self.pack_group(kernel, &acc, &rows[64][..n]);
@@ -281,6 +165,8 @@ impl PatternBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{BatchEngine, TERMINAL_BIT};
+    use crate::soa::SoaProgram;
     use charfree_core::{ModelBuilder, PowerModel};
     use charfree_netlist::{benchmarks, Library};
     use charfree_sim::MarkovSource;
@@ -324,5 +210,63 @@ mod tests {
             kernel.eval_batch(&block)[0],
             kernel.eval_transition(&xi, &xf)
         );
+    }
+
+    /// A constant kernel over `n` inputs whose input-to-variable maps
+    /// are a non-trivial permutation (reversed, final state first), so
+    /// packing is checked for any width without building a model.
+    fn permuted_kernel(n: usize) -> Kernel {
+        let mut kernel = Kernel {
+            name: format!("pack{n}"),
+            num_vars: 2 * n as u32,
+            num_inputs: n,
+            instrs: Vec::new(),
+            terminals: vec![0.0],
+            root: TERMINAL_BIT,
+            xi_vars: (0..n).map(|i| 2 * (n - 1 - i) as u32 + 1).collect(),
+            xf_vars: (0..n).map(|i| 2 * (n - 1 - i) as u32).collect(),
+            interleaved: false,
+            program: Vec::new(),
+            engine: BatchEngine::Walk,
+            soa: SoaProgram::default(),
+            depth: 0,
+            fused_depth: 0,
+        };
+        kernel.rebuild_program();
+        kernel.validate().expect("a valid permutation kernel");
+        kernel
+    }
+
+    #[test]
+    fn group_packing_matches_one_transition_at_a_time() {
+        for n in [1usize, 5, 7, 8, 9, 14, 21, 33, 64, 65] {
+            let kernel = permuted_kernel(n);
+            for transitions in [0usize, 1, 2, 64, 65, 66, 130] {
+                let mut source =
+                    MarkovSource::new(n, 0.5, 0.4, 0x9AC0 + n as u64).expect("feasible");
+                let patterns = source.sequence(transitions + 1);
+                let mut want = PatternBlock::new(2 * n);
+                for pair in patterns.windows(2) {
+                    want.push_transition(&kernel, &pair[0], &pair[1]);
+                }
+                assert_eq!(want.len(), transitions);
+                // Appends split at these transition counts: a mid-group
+                // start, a return to a group boundary, and the rest.
+                for cuts in [vec![], vec![3], vec![3, 64], vec![1, 65, 70]] {
+                    let mut got = PatternBlock::new(2 * n);
+                    let mut from = 0usize;
+                    for &cut in cuts.iter().filter(|&&c| c < transitions) {
+                        got.extend_from_patterns(&kernel, &patterns[from..=cut]);
+                        from = cut;
+                    }
+                    got.extend_from_patterns(&kernel, &patterns[from..]);
+                    assert_eq!(got.len(), transitions, "width {n}, cuts {cuts:?}");
+                    assert_eq!(
+                        got.words, want.words,
+                        "width {n}, {transitions} transitions, cuts {cuts:?}"
+                    );
+                }
+            }
+        }
     }
 }

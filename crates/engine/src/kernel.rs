@@ -105,7 +105,7 @@ pub struct Kernel {
 }
 
 /// The batch engine a kernel evaluates with, chosen once per kernel
-/// from its shape in [`Kernel::rebuild_program`] (so compile and `.cfk`
+/// from its shape when its batch programs are built (compile and `.cfk`
 /// load choose alike) — never from a flag or setting.
 ///
 /// The two engines cost differently: the SoA gather does work
@@ -133,10 +133,11 @@ impl std::fmt::Display for BatchEngine {
 
 /// The shape rule's crossover: kernels with more instructions than this
 /// many per level of depth are walked. Calibrated on a 2-vCPU x86-64
-/// host with the AVX2 gather (kernel time alone, 4096 Markov transitions
-/// at sp 0.5 / st 0.3): the gather wins up to about 50 instructions per
-/// level (decod at 7: 2.3 vs 12.8 ns per transition; x2 exact at 51: 17–22
-/// vs 25–52 ns), the two tie near 120 (parity, pcle), and the walk wins
+/// host while the gather still had an AVX2 build (kernel time alone,
+/// 4096 Markov transitions at sp 0.5 / st 0.3): the gather wins up to
+/// about 50 instructions per level (decod at 7: 2.3 vs 12.8 ns per
+/// transition; x2 exact at 51: 17–22 vs 25–52 ns), the two tie near
+/// 120 (parity, pcle), and the walk wins
 /// from cm150 exact (183) on, by 8× on exact mux and 130× on exact alu4.
 /// DESIGN.md §18 has the whole table.
 pub(crate) const WALK_INSTRS_PER_LEVEL: usize = 64;
@@ -445,7 +446,7 @@ impl Kernel {
     /// `out` (which must be exactly `block.len()` long).
     ///
     /// Runs the kernel's [`BatchEngine`]: the level-packed SoA gather
-    /// (see [`crate::soa`]; one ascending sweep computes every state's
+    /// (one ascending sweep computes every state's
     /// lane masks from its predecessors, 256 lanes per pass) or the lane
     /// walk of [`Kernel::eval_batch_reference_into`]. Either is f64
     /// bit-identical to the reference walk, enforced by the
@@ -479,13 +480,7 @@ impl Kernel {
             "pattern block is narrower than the kernel"
         );
         match self.engine {
-            BatchEngine::Gather => self.soa.eval_block(
-                &self.terminals,
-                block,
-                out,
-                &mut scratch.masks,
-                &mut scratch.sels,
-            ),
+            BatchEngine::Gather => self.soa.eval_block(&self.terminals, block, out, scratch),
             BatchEngine::Walk => self.walk_into(block, out),
         }
     }

@@ -16,23 +16,18 @@
 //!   transitions; [`Kernel::eval_batch`] consumes it through the
 //!   kernel's [`BatchEngine`], chosen once from the kernel's shape: a
 //!   level-packed SoA gather (see [`soa`](self) internals; 256-lane
-//!   branchless pair-level rounds) for small or shallow kernels, the
-//!   8-lane level-fused walk behind [`Kernel::eval_batch_reference_into`]
-//!   for large ones. Both are bit-identical to that reference walk.
-//! * [`eval_fused`] — the fused multi-kernel evaluator: one pass over a
-//!   shared trace window advances N macros' gather programs together
-//!   (interleaved pair-level rounds for memory-level parallelism;
-//!   walk-shaped macros are walked up front); feeds `charfree-seq`'s
-//!   cycle stepper and `charfree-serve`'s batch dispatcher.
+//!   branchless pair-level rounds over bounds-checked row indices) for
+//!   small or shallow kernels, the 8-lane level-fused walk behind
+//!   [`Kernel::eval_batch_reference_into`] for large ones. Both are
+//!   bit-identical to that reference walk. Callers with several kernels
+//!   (`charfree-seq`'s cycle stepper, `charfree-serve`'s batch
+//!   dispatcher) make one [`Kernel::eval_batch_into`] call per kernel.
 //! * [`TraceEngine`] — chunked, deterministic multi-threaded trace
-//!   evaluation: results are bit-identical for any `--jobs` value, in
-//!   resident and streaming mode alike.
-//! * [`CompiledModel`] — a [`charfree_core::PowerModel`] adapter so the
-//!   accuracy sweeps and CLI paths transparently use the compiled path
-//!   while the arena model remains the reference oracle.
+//!   evaluation: results are bit-identical for any `--jobs` value.
 //! * [`throughput`] — the measurement harness behind
 //!   `charfree throughput` and `BENCH_engine.json`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // `.unwrap()` is banned crate-wide; `.expect()` remains available for
 // invariants with a stated justification, and tests are exempt.
@@ -40,16 +35,12 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod block;
-mod compiled;
 mod engine;
-mod fused;
 mod kernel;
 mod persist;
 mod soa;
 pub mod throughput;
 
 pub use block::PatternBlock;
-pub use compiled::CompiledModel;
 pub use engine::{TraceEngine, TraceSummary, DEFAULT_CHUNK};
-pub use fused::{eval_fused, FusedJob};
 pub use kernel::{BatchEngine, Instr, Kernel};

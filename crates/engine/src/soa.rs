@@ -33,8 +33,14 @@
 //!   no terminal tests: terminal rows gather exactly like internal
 //!   ones, and the final masks *are* the terminal handling.
 //!   [`CHUNK_GROUPS`] groups (256 lanes) advance per pass, so every
-//!   row op is a fixed-shape `[u64; 4]` chunk the autovectorizer (or
-//!   the AVX2 path) turns into full-width vector ops.
+//!   row op is a fixed-shape `[u64; 4]` chunk the autovectorizer can
+//!   turn into vector ops.
+//! * **Checked indexing** — the schedule stores row indices and the
+//!   gather indexes its slices with ordinary bounds checks. The
+//!   schedule is derived from a validated kernel
+//!   ([`Kernel::load`](crate::Kernel::load) rejects malformed `.cfk`
+//!   files), so a check never fails on a kernel that loaded; if one
+//!   did, it would panic rather than read out of bounds.
 //!
 //! Total work per 256 lanes is `O(edges)` — independent of path
 //! lengths, but proportional to the *whole* diagram, while the walk's
@@ -51,38 +57,41 @@ use crate::block::PatternBlock;
 use crate::kernel::{Instr, TERMINAL_BIT};
 
 /// Lanes per pattern group — one bit per `u64` pattern word.
-pub(crate) const GROUP_LANES: usize = 64;
+const GROUP_LANES: usize = 64;
 
 /// Pattern groups advanced per propagation pass (4 × 64 = 256 lanes):
 /// every per-state mask op becomes a fixed `[u64; 4]` chunk. Blocks
 /// shorter than a full chunk leave the trailing groups inert (zero
 /// live masks), so there is no scalar tail path.
-pub(crate) const CHUNK_GROUPS: usize = 4;
+const CHUNK_GROUPS: usize = 4;
 
 /// One mask word per chunk-local group — the unit every state row and
 /// selector row is made of.
-pub(crate) type MaskRow = [u64; CHUNK_GROUPS];
+type MaskRow = [u64; CHUNK_GROUPS];
 
 /// The all-zero row.
-pub(crate) const ZERO_ROW: MaskRow = [0u64; CHUNK_GROUPS];
+const ZERO_ROW: MaskRow = [0u64; CHUNK_GROUPS];
 
-/// Reusable per-worker evaluation scratch (mask rows + selector
-/// table). Holding one of these across chunk evaluations avoids a
-/// per-call allocation and re-zeroing of the mask buffer.
+/// Reusable evaluation scratch (mask rows + selector table). Holding
+/// one across chunk evaluations avoids a per-call allocation and
+/// re-zeroing of the mask buffer. A scratch serves one program only:
+/// it keeps that program's mask rows between calls, relying on the
+/// rows no round writes staying zero, which another program's rows
+/// need not be.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
-    pub(crate) masks: Vec<MaskRow>,
-    pub(crate) sels: Vec<MaskRow>,
+    masks: Vec<MaskRow>,
+    sels: Vec<MaskRow>,
 }
 
 /// One pair level: its contiguous state range `[start, end)` and the
 /// two diagram variables (pattern words) it tests.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SoaStep {
-    pub(crate) v1: u32,
-    pub(crate) v2: u32,
-    pub(crate) start: u32,
-    pub(crate) end: u32,
+struct SoaStep {
+    v1: u32,
+    v2: u32,
+    start: u32,
+    end: u32,
 }
 
 /// One gather round's slice of the degree-bucketed schedule: cursor
@@ -105,11 +114,11 @@ struct GatherRound {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SoaProgram {
     /// First terminal state index (== number of internal nodes).
-    pub(crate) term_base: u32,
+    term_base: u32,
     /// Renumbered root state (a terminal index for constant kernels).
-    pub(crate) root: u32,
+    root: u32,
     /// One step per non-empty pair level, ascending.
-    pub(crate) steps: Vec<SoaStep>,
+    steps: Vec<SoaStep>,
     /// Gather schedule: one round per pair level (round `r` computes
     /// step `r`'s states; round 0 is always empty — level-0 states have
     /// no in-edges) plus a final terminal round. Within a round,
@@ -117,13 +126,11 @@ pub(crate) struct SoaProgram {
     /// loops are fixed-shape — no data-dependent inner-loop branch to
     /// mispredict on mixed degrees.
     rounds: Vec<GatherRound>,
-    /// Target mask-row *byte* offsets in schedule order (pre-scaled by
-    /// the row size so the hot loop does no shifts).
+    /// Target mask-row indices in schedule order.
     targets: Vec<u32>,
-    /// In-edges in schedule order, each packed as
-    /// `(sel_byte << 32) | pred_byte` — *byte* offsets of the selector
-    /// row (in the dense per-chunk table, see [`SoaProgram::sel_plan`])
-    /// and the pred state's mask row, pre-scaled like `targets`.
+    /// In-edges in schedule order, each packed as `(sel << 32) | pred`:
+    /// the selector row's index in the dense per-chunk table (see
+    /// [`SoaProgram::sel_plan`]) and the pred state's mask-row index.
     edges: Vec<u64>,
     /// Per generic-bucket target (in-degree ≥ 3): its in-edge count.
     gen_counts: Vec<u32>,
@@ -146,12 +153,6 @@ impl SoaProgram {
     ) -> SoaProgram {
         let n = instrs.len();
         let num_states = n + num_terminals;
-        // Byte offsets of mask rows must fit the edge words' 32-bit
-        // halves (a kernel this size would be ~4 GiB of masks anyway).
-        assert!(
-            num_states < (1 << 27),
-            "kernel too large for the SoA engine"
-        );
         let term_base = n as u32;
         // Renumber nodes contiguous by pair level (stable within one).
         let mut order: Vec<u32> = (0..term_base).collect();
@@ -207,7 +208,7 @@ impl SoaProgram {
         // most four distinct targets; merging turns e.g. an odd-var
         // node's four entries into two 2-quadrant edges.
         let mut pred_targets: Vec<[(u32, u32); 4]> = Vec::with_capacity(n);
-        for (new, &old) in order.iter().enumerate() {
+        for &old in &order {
             let ins = &instrs[old as usize];
             let pair_even = ins.var & !1;
             let mut merged = [(u32::MAX, 0u32); 4]; // (target, quadbits)
@@ -238,7 +239,6 @@ impl SoaProgram {
                 }
             }
             pred_targets.push(merged);
-            let _ = new;
         }
         // Dense selector slots: a `(level, quadbits)` pair gets one the
         // first time an edge references it. Preds are visited in
@@ -246,7 +246,6 @@ impl SoaProgram {
         // Edges into the root would come from unreachable nodes only;
         // dropping them keeps the root's seeded row authoritative for
         // the whole pass.
-        let row = std::mem::size_of::<MaskRow>() as u64;
         let mut slot_of = vec![u32::MAX; 16 * steps.len()];
         let mut sel_plan: Vec<u32> = Vec::new();
         let mut in_edges: Vec<Vec<u64>> = vec![Vec::new(); num_states];
@@ -260,7 +259,7 @@ impl SoaProgram {
                     slot_of[key] = sel_plan.len() as u32;
                     sel_plan.push((step_of[new] << 4) | quadbits);
                 }
-                in_edges[t as usize].push(((slot_of[key] as u64 * row) << 32) | (new as u64 * row));
+                in_edges[t as usize].push(((slot_of[key] as u64) << 32) | new as u64);
             }
         }
         // Emit the degree-bucketed schedule: per round (one per level,
@@ -286,45 +285,27 @@ impl SoaProgram {
             for s in lo..hi {
                 if in_edges[s as usize].len() == 1 {
                     rd.n1 += 1;
-                    targets.push(s * row as u32);
+                    targets.push(s);
                     edges.extend_from_slice(&in_edges[s as usize]);
                 }
             }
             for s in lo..hi {
                 if in_edges[s as usize].len() == 2 {
                     rd.n2 += 1;
-                    targets.push(s * row as u32);
+                    targets.push(s);
                     edges.extend_from_slice(&in_edges[s as usize]);
                 }
             }
             for s in lo..hi {
                 if in_edges[s as usize].len() >= 3 {
                     rd.ng += 1;
-                    targets.push(s * row as u32);
+                    targets.push(s);
                     gen_counts.push(in_edges[s as usize].len() as u32);
                     edges.extend_from_slice(&in_edges[s as usize]);
                 }
             }
             rounds.push(rd);
         }
-        // The hot gather loops index masks/selectors unchecked on the
-        // strength of these bounds (checked once, at compile/load
-        // time).
-        assert!(
-            edges.iter().all(|&e| {
-                (e & u32::MAX as u64) < num_states as u64 * row
-                    && (e >> 32) < sel_plan.len() as u64 * row
-                    && (e & u32::MAX as u64).is_multiple_of(row)
-                    && (e >> 32).is_multiple_of(row)
-            }),
-            "gather edge out of range"
-        );
-        assert!(
-            targets
-                .iter()
-                .all(|&t| (t as u64) < num_states as u64 * row && (t as u64).is_multiple_of(row)),
-            "gather target out of range"
-        );
         SoaProgram {
             term_base,
             root: new_root,
@@ -338,26 +319,10 @@ impl SoaProgram {
         }
     }
 
-    /// Total states (internal nodes + terminal rows) — the mask
-    /// scratch holds one [`MaskRow`] per state.
-    pub(crate) fn num_states(&self) -> usize {
-        self.num_states
-    }
-
     /// Selector rows needed per chunk (one per referenced
     /// `(level, quadbits)` pair).
-    pub(crate) fn num_sels(&self) -> usize {
+    fn num_sels(&self) -> usize {
         self.sel_plan.len()
-    }
-
-    /// Seeds the root mask of chunk-local group `g`: `live` names the
-    /// lanes that actually hold transitions (the final group of a block
-    /// may be ragged; absent groups seed 0 and stay inert). Overwrites
-    /// last chunk's seed — the root has no in-edges, so the row is
-    /// never gather-written.
-    #[inline]
-    pub(crate) fn seed_root(&self, masks: &mut [MaskRow], g: usize, live: u64) {
-        masks[self.root as usize][g] = live;
     }
 
     /// Fills the dense per-chunk selector table: slot `i` holds the
@@ -367,13 +332,7 @@ impl SoaProgram {
     /// computed once and reused across its slots. Groups past the
     /// block's end contribute zero words — their masks are zero, so
     /// selection never matters.
-    pub(crate) fn build_sels(
-        &self,
-        block: &PatternBlock,
-        g0: usize,
-        lanes: usize,
-        sels: &mut [MaskRow],
-    ) {
+    fn build_sels(&self, block: &PatternBlock, g0: usize, lanes: usize, sels: &mut [MaskRow]) {
         assert_eq!(sels.len(), self.num_sels(), "selector table size");
         let mut q = [ZERO_ROW; 4];
         let mut cur_level = u32::MAX;
@@ -411,103 +370,44 @@ impl SoaProgram {
         }
     }
 
-    /// Number of gather rounds: one per pair level plus the terminal
-    /// round (round 0 is always empty — level-0 states have no
-    /// in-edges).
-    pub(crate) fn num_rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
     /// Computes the mask rows of gather round `round`'s target states
     /// (every pred is at an earlier level, so its row is already final)
     /// as the OR of `pred_row & selector` over their in-edges. Each row
     /// is written exactly once; states with no in-edges appear in no
     /// round and keep their zero row. Targets run degree-bucketed —
     /// all in-degree-1 states, then in-degree-2, then the rest — so the
-    /// two hot loops have no data-dependent branch. Dispatches to an
-    /// AVX2-compiled body when the host supports it (one cached feature
-    /// probe per call).
-    #[inline]
-    pub(crate) fn gather_round(&self, masks: &mut [MaskRow], sels: &[MaskRow], round: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                unsafe { self.gather_round_avx2(masks, sels, round) };
-                return;
-            }
-        }
-        self.gather_round_body(masks, sels, round);
-    }
-
-    /// [`SoaProgram::gather_round`] monomorphized with AVX2 enabled, so
-    /// the `[u64; 4]` row operations compile to full-width vector ops.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather_round_avx2(&self, masks: &mut [MaskRow], sels: &[MaskRow], round: usize) {
-        self.gather_round_body(masks, sels, round);
-    }
-
-    #[inline(always)]
-    fn gather_round_body(&self, masks: &mut [MaskRow], sels: &[MaskRow], round: usize) {
-        assert_eq!(masks.len(), self.num_states, "mask row count mismatch");
-        assert_eq!(sels.len(), self.num_sels(), "selector table size");
+    /// three loops have no data-dependent branch.
+    fn gather_round(&self, masks: &mut [MaskRow], sels: &[MaskRow], round: usize) {
         let rd = self.rounds[round];
-        let mptr = masks.as_mut_ptr().cast::<u8>();
-        let sptr = sels.as_ptr().cast::<u8>();
-        let mut ti = rd.t0 as usize;
-        let mut ei = rd.e0 as usize;
-        // SAFETY: every target/pred/selector byte offset in the
-        // schedule is an in-bounds, row-aligned offset (asserted in
-        // `build`), round cursors stay inside the arrays by
-        // construction, and every pred is at an earlier level than its
-        // target, so no read aliases this round's writes.
-        unsafe {
-            for _ in 0..rd.n1 {
-                let e = *self.edges.get_unchecked(ei);
-                let t = *self.targets.get_unchecked(ti) as usize;
-                let prow = &*mptr.add((e & u32::MAX as u64) as usize).cast::<MaskRow>();
-                let srow = &*sptr.add((e >> 32) as usize).cast::<MaskRow>();
-                let mut acc = ZERO_ROW;
+        let (n1, n2, ng) = (rd.n1 as usize, rd.n2 as usize, rd.ng as usize);
+        let pred = |e: u64| (e & u64::from(u32::MAX)) as usize;
+        let sel = |e: u64| (e >> 32) as usize;
+        let targets = &self.targets[rd.t0 as usize..][..n1 + n2 + ng];
+        let (t1, rest) = targets.split_at(n1);
+        let (t2, tg) = rest.split_at(n2);
+        let (e1, rest) = self.edges[rd.e0 as usize..].split_at(n1);
+        let (e2, mut eg) = rest.split_at(2 * n2);
+        for (&t, &e) in t1.iter().zip(e1) {
+            let (p, s) = (masks[pred(e)], sels[sel(e)]);
+            masks[t as usize] = std::array::from_fn(|g| p[g] & s[g]);
+        }
+        for (&t, pair) in t2.iter().zip(e2.chunks_exact(2)) {
+            let (pa, sa) = (masks[pred(pair[0])], sels[sel(pair[0])]);
+            let (pb, sb) = (masks[pred(pair[1])], sels[sel(pair[1])]);
+            masks[t as usize] = std::array::from_fn(|g| (pa[g] & sa[g]) | (pb[g] & sb[g]));
+        }
+        let counts = &self.gen_counts[rd.c0 as usize..][..ng];
+        for (&t, &c) in tg.iter().zip(counts) {
+            let (edges, rest) = eg.split_at(c as usize);
+            let mut acc = ZERO_ROW;
+            for &e in edges {
+                let (p, s) = (masks[pred(e)], sels[sel(e)]);
                 for g in 0..CHUNK_GROUPS {
-                    acc[g] = prow[g] & srow[g];
+                    acc[g] |= p[g] & s[g];
                 }
-                *mptr.add(t).cast::<MaskRow>() = acc;
-                ti += 1;
-                ei += 1;
             }
-            for _ in 0..rd.n2 {
-                let ea = *self.edges.get_unchecked(ei);
-                let eb = *self.edges.get_unchecked(ei + 1);
-                let t = *self.targets.get_unchecked(ti) as usize;
-                let pa = &*mptr.add((ea & u32::MAX as u64) as usize).cast::<MaskRow>();
-                let sa = &*sptr.add((ea >> 32) as usize).cast::<MaskRow>();
-                let pb = &*mptr.add((eb & u32::MAX as u64) as usize).cast::<MaskRow>();
-                let sb = &*sptr.add((eb >> 32) as usize).cast::<MaskRow>();
-                let mut acc = ZERO_ROW;
-                for g in 0..CHUNK_GROUPS {
-                    acc[g] = (pa[g] & sa[g]) | (pb[g] & sb[g]);
-                }
-                *mptr.add(t).cast::<MaskRow>() = acc;
-                ti += 1;
-                ei += 2;
-            }
-            let c0 = rd.c0 as usize;
-            for ci in c0..c0 + rd.ng as usize {
-                let c = *self.gen_counts.get_unchecked(ci) as usize;
-                let t = *self.targets.get_unchecked(ti) as usize;
-                let mut acc = ZERO_ROW;
-                for e in self.edges.get_unchecked(ei..ei + c) {
-                    let prow = &*mptr.add((*e & u32::MAX as u64) as usize).cast::<MaskRow>();
-                    let srow = &*sptr.add((*e >> 32) as usize).cast::<MaskRow>();
-                    for g in 0..CHUNK_GROUPS {
-                        acc[g] |= prow[g] & srow[g];
-                    }
-                }
-                *mptr.add(t).cast::<MaskRow>() = acc;
-                ti += 1;
-                ei += c;
-            }
+            masks[t as usize] = acc;
+            eg = rest;
         }
     }
 
@@ -519,7 +419,7 @@ impl SoaProgram {
     /// row — with many terminals most rows hold no lanes of a given
     /// chunk.
     #[inline]
-    pub(crate) fn scatter(&self, masks: &[MaskRow], terminals: &[f64], out: &mut [f64]) {
+    fn scatter(&self, masks: &[MaskRow], terminals: &[f64], out: &mut [f64]) {
         let base = self.term_base as usize;
         for (k, &value) in terminals.iter().enumerate() {
             let row = &masks[base + k];
@@ -537,8 +437,8 @@ impl SoaProgram {
     }
 
     /// Evaluates a whole packed block into `out` via the gather sweep,
-    /// [`CHUNK_GROUPS`] groups per pass. `masks`/`sels` are the
-    /// reusable scratch buffers (sized and zero-initialised here).
+    /// [`CHUNK_GROUPS`] groups per pass, in `scratch` (sized and
+    /// zero-initialised here on first use).
     ///
     /// Only gather-shaped kernels get here: constant kernels are walked
     /// (the sweep assumes an internal root).
@@ -547,10 +447,10 @@ impl SoaProgram {
         terminals: &[f64],
         block: &PatternBlock,
         out: &mut [f64],
-        masks: &mut Vec<MaskRow>,
-        sels: &mut Vec<MaskRow>,
+        scratch: &mut EvalScratch,
     ) {
         debug_assert!(self.root < self.term_base, "constant kernels are walked");
+        let EvalScratch { masks, sels } = scratch;
         if masks.len() < self.num_states {
             masks.clear();
             masks.resize(self.num_states, ZERO_ROW);
@@ -563,18 +463,21 @@ impl SoaProgram {
         let mut g0 = 0usize;
         while g0 < groups {
             let masks = &mut masks[..self.num_states];
-            for g in 0..CHUNK_GROUPS {
+            // Seed the root row with each group's live lanes (the last
+            // group may be ragged; absent groups seed 0 and stay inert).
+            // The root has no in-edges, so no round overwrites it.
+            for (g, live) in masks[self.root as usize].iter_mut().enumerate() {
                 let lo = (g0 + g) * GROUP_LANES;
                 let n = out.len().saturating_sub(lo).min(GROUP_LANES);
-                let live = if n == GROUP_LANES {
+                *live = if n == GROUP_LANES {
                     !0u64
                 } else {
                     (1u64 << n) - 1
                 };
-                self.seed_root(masks, g, live);
             }
             self.build_sels(block, g0, out.len(), sels);
-            for round in 1..self.num_rounds() {
+            // Round 0 gathers nothing: level-0 states have no in-edges.
+            for round in 1..self.rounds.len() {
                 self.gather_round(masks, sels, round);
             }
             let lo = g0 * GROUP_LANES;

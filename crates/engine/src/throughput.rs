@@ -4,7 +4,7 @@
 //! Times the same transition stream through three evaluation paths —
 //! per-pattern arena traversal on the [`AddPowerModel`] (the reference
 //! oracle), single-threaded compiled batch evaluation, and the parallel
-//! [`TraceEngine`](crate::TraceEngine) — and reports patterns/second plus
+//! [`TraceEngine`] — and reports patterns/second plus
 //! kernel compile cost, footprint and batch engine. Every run checks
 //! the compiled summary against the arena trace reduced with the same
 //! chunk association, bit for bit, so a speedup can never silently come
@@ -157,7 +157,7 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs `body` repeatedly until [`MIN_SECONDS`] of wall-clock have
+/// Runs `body` repeatedly until 50 ms of wall-clock have
 /// elapsed; returns the achieved rate in `units_per_rep / second`.
 pub fn rate(units_per_rep: usize, mut body: impl FnMut()) -> f64 {
     let start = Instant::now();

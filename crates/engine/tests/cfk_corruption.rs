@@ -2,21 +2,21 @@
 //! artifact-poisoning tests at the kernel-file layer).
 //!
 //! The SoA gather program is compiled from the instruction vec at load
-//! time, and its hot loops index mask/selector rows *unchecked* on the
-//! strength of `Kernel::load`'s validation. These tests feed the
+//! time, and its schedule is only sound for kernels `Kernel::load`'s
+//! validation accepts. These tests feed the
 //! loader every truncation and a dense sample of single-bit flips of a
 //! real `.cfk` byte stream and require:
 //!
 //! * corruption is either rejected with a typed `InvalidData`/UTF-8
-//!   I/O error — never a panic, never UB; or
+//!   I/O error — never a panic; or
 //! * the mutated text still happens to be a *valid* kernel (a flipped
 //!   digit in a name or terminal is just a different kernel), in which
-//!   case the loaded kernel must be fully coherent: its SoA engine,
-//!   reference walk, and fused evaluation all agree bit-for-bit on a
-//!   real trace.
+//!   case the loaded kernel must be fully coherent: its batch engine
+//!   and reference walk agree bit-for-bit on a real trace, sharded or
+//!   not.
 
 use charfree_core::ModelBuilder;
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine};
+use charfree_engine::{Kernel, PatternBlock, TraceEngine};
 use charfree_netlist::{benchmarks, Library};
 use charfree_sim::MarkovSource;
 
@@ -32,7 +32,7 @@ fn saved_kernel_bytes() -> (Kernel, Vec<u8>) {
 }
 
 /// A loaded kernel (however it was obtained) must be internally
-/// coherent: SoA ≡ reference ≡ fused on a real trace, sharded or not.
+/// coherent: batch engine ≡ reference on a real trace, sharded or not.
 fn assert_loaded_kernel_coherent(kernel: &Kernel) {
     let n = kernel.num_inputs();
     let mut source = MarkovSource::new(n.max(1), 0.5, 0.4, 23).expect("valid stats");
@@ -43,15 +43,8 @@ fn assert_loaded_kernel_coherent(kernel: &Kernel) {
     let soa = kernel.eval_batch(&block);
     let mut reference = vec![0.0; transitions];
     kernel.eval_batch_reference_into(&block, &mut reference);
-    let mut fused = vec![0.0; transitions];
-    eval_fused(&mut [FusedJob {
-        kernel,
-        block: &block,
-        out: &mut fused,
-    }]);
     for t in 0..transitions {
         assert_eq!(reference[t].to_bits(), soa[t].to_bits(), "transition {t}");
-        assert_eq!(reference[t].to_bits(), fused[t].to_bits(), "transition {t}");
     }
     let one = TraceEngine::new(kernel).jobs(1).evaluate(&patterns);
     let four = TraceEngine::new(kernel).jobs(4).evaluate(&patterns);

@@ -1,6 +1,6 @@
 //! Edge-case kernel lockdown: the shapes the main suites historically
 //! missed, pinned for *both* engines (the per-lane reference walk and
-//! the SoA gather engine) plus the fused multi-kernel evaluator.
+//! the SoA gather engine) and the sharded [`TraceEngine`].
 //!
 //! * constant-function ADDs (single terminal, no variables read);
 //! * single-variable kernels (one input, one pair level);
@@ -12,7 +12,7 @@
 //! "close", they are the same function.
 
 use charfree_core::{ApproxStrategy, ModelBuilder, PowerModel};
-use charfree_engine::{eval_fused, BatchEngine, FusedJob, Kernel, PatternBlock, TraceEngine};
+use charfree_engine::{BatchEngine, Kernel, PatternBlock, TraceEngine};
 use charfree_netlist::{benchmarks, blif, Library};
 use charfree_sim::MarkovSource;
 
@@ -38,8 +38,8 @@ fn parity_chain_blif(n: usize) -> String {
     text
 }
 
-/// Reference ≡ SoA ≡ fused per transition, bit for bit, and both
-/// engines against the arena oracle.
+/// Reference ≡ SoA per transition, bit for bit, and both engines
+/// against the arena oracle.
 fn assert_all_paths_agree(
     name: &str,
     model: &charfree_core::AddPowerModel,
@@ -59,12 +59,6 @@ fn assert_all_paths_agree(
     let mut reference = vec![0.0; transitions];
     kernel.eval_batch_reference_into(&block, &mut reference);
     let soa = kernel.eval_batch(&block);
-    let mut fused = vec![0.0; transitions];
-    eval_fused(&mut [FusedJob {
-        kernel: &kernel,
-        block: &block,
-        out: &mut fused,
-    }]);
 
     for t in 0..transitions {
         let arena = model
@@ -79,11 +73,6 @@ fn assert_all_paths_agree(
             reference[t].to_bits(),
             soa[t].to_bits(),
             "{name}: reference vs SoA at transition {t}"
-        );
-        assert_eq!(
-            reference[t].to_bits(),
-            fused[t].to_bits(),
-            "{name}: reference vs fused at transition {t}"
         );
     }
 }
@@ -185,13 +174,6 @@ fn empty_trace_is_a_no_op_everywhere() {
         let mut reference: Vec<f64> = Vec::new();
         kernel.eval_batch_reference_into(&block, &mut reference);
         assert!(reference.is_empty());
-
-        let mut fused_out: Vec<f64> = Vec::new();
-        eval_fused(&mut [FusedJob {
-            kernel: &kernel,
-            block: &block,
-            out: &mut fused_out,
-        }]);
 
         let summary = TraceEngine::new(&kernel).jobs(4).evaluate(&patterns);
         assert_eq!(summary.transitions, 0);

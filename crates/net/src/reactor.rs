@@ -1,6 +1,6 @@
 //! Sharded edge-triggered reactor.
 //!
-//! N shard threads each own a [`Poller`](crate::poller::Poller), a slab
+//! N shard threads each own a [`Poller`], a slab
 //! of accepted connections and two cross-thread queues (accept handoff
 //! and a message mailbox), both signalled through the shard's eventfd.
 //! Connections never migrate between shards, so all per-connection state

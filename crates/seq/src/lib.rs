@@ -12,10 +12,10 @@
 //! Two evaluation paths produce bit-identical results:
 //!
 //! * **fused** ([`SeqModel::eval_fused`]) — one pass over the shared
-//!   pattern trace; every macro's transitions are packed into its own
-//!   [`PatternBlock`] lane-by-lane and all blocks are evaluated in one
-//!   fused multi-kernel pass ([`eval_fused`]) at each 64-lane flush,
-//!   interleaving the macros' walks for memory-level parallelism;
+//!   pattern trace steps the register state once per cycle; every
+//!   macro's transitions are packed into its own [`PatternBlock`]
+//!   lane-by-lane, and each flush window evaluates every macro's block
+//!   with one [`Kernel::eval_batch_into`] call;
 //! * **unfused** ([`SeqModel::eval_unfused`]) — each macro's boundary
 //!   sequence is materialized and evaluated independently through
 //!   [`TraceEngine`].
@@ -33,9 +33,7 @@
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use charfree_engine::{
-    eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine, TraceSummary, DEFAULT_CHUNK,
-};
+use charfree_engine::{Kernel, PatternBlock, TraceEngine, TraceSummary, DEFAULT_CHUNK};
 use charfree_netlist::SeqNetlist;
 use charfree_pipeline::{PipelineCtx, PipelineError};
 use charfree_sim::SeqSim;
@@ -184,13 +182,13 @@ impl SeqModel {
     /// Per-macro per-transition values via the **fused** path: a single
     /// walk over the pattern trace advances the register state once,
     /// packs every macro's `(xⁱ, xᶠ)` pair for the cycle into that
-    /// macro's [`PatternBlock`], and batch-evaluates all blocks at each
-    /// [`FUSED_WINDOW`]-lane flush. Returns one value vector per macro.
+    /// macro's [`PatternBlock`], and batch-evaluates each block at every
+    /// `FUSED_WINDOW`-lane flush. Returns one value vector per macro.
     pub fn trace_fused(&self, patterns: &[Vec<bool>]) -> Vec<Vec<f64>> {
-        /// Lanes accumulated per macro before a fused flush. Large
-        /// enough to amortize `eval_fused`'s per-call scratch over many
-        /// 64-lane groups; per-transition values are independent of the
-        /// window, so this is throughput-only.
+        /// Lanes accumulated per macro before a flush. Large enough to
+        /// amortize each batch call's scratch over many 64-lane groups;
+        /// per-transition values are independent of the window, so this
+        /// is throughput-only.
         const FUSED_WINDOW: usize = 4096;
         let n = self.kernels.len();
         let transitions = patterns.len().saturating_sub(1);
@@ -200,26 +198,15 @@ impl SeqModel {
             .map(|k| PatternBlock::new(k.num_vars() as usize))
             .collect();
         let mut values: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(transitions)).collect();
-        // One fused multi-kernel pass per flush window: every macro's
-        // packed block advances together (interleaved pair-level
-        // rounds), instead of evaluating macros one at a time.
+        // One batch call per macro per flush window.
         let flush = |blocks: &mut [PatternBlock], values: &mut [Vec<f64>]| {
-            let mut jobs: Vec<FusedJob> = Vec::with_capacity(blocks.len());
-            for ((kernel, block), vals) in self.kernels.iter().zip(blocks.iter()).zip(values) {
+            for ((kernel, block), vals) in self.kernels.iter().zip(blocks).zip(values) {
                 if block.is_empty() {
                     continue;
                 }
                 let start = vals.len();
                 vals.resize(start + block.len(), 0.0);
-                jobs.push(FusedJob {
-                    kernel,
-                    block,
-                    out: &mut vals[start..],
-                });
-            }
-            eval_fused(&mut jobs);
-            drop(jobs);
-            for block in blocks {
+                kernel.eval_batch_into(block, &mut vals[start..]);
                 block.clear();
             }
         };

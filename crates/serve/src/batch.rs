@@ -6,9 +6,8 @@
 //! the bounded submit queue. After its blocking receive, a worker
 //! drains whatever else is already queued (up to `MAX_BATCH_JOBS`),
 //! groups the jobs by kernel identity, packs each group's transitions
-//! into its own block, evaluates **all groups in a single fused
-//! multi-kernel pass** ([`eval_fused`], interleaving the kernels' walks
-//! for memory-level parallelism), and scatters the per-transition
+//! into its own block, evaluates each group's block with **one
+//! [`Kernel::eval_batch_into`] call**, and scatters the per-transition
 //! values back to each requester.
 //!
 //! With a zero `batch_window` (the default) nothing waits on a timer:
@@ -23,13 +22,12 @@
 //! Coalescing must be *unobservable* in results. Two properties make
 //! that hold:
 //!
-//! 1. [`eval_fused`] computes each lane's value from that lane's bits
-//!    and its own kernel's program alone — a transition's value does
-//!    not depend on which lanes surround it or which other kernels
-//!    share the fused pass, so packing requests together (in any
-//!    order, at any offset, next to any other kernel's jobs) yields
-//!    the same per-transition values as evaluating each request alone
-//!    (f64 bit-exactly; the kernel-equivalence suites enforce it).
+//! 1. [`Kernel::eval_batch_into`] computes each lane's value from that
+//!    lane's bits and the kernel's program alone — a transition's value
+//!    does not depend on which lanes surround it, so packing requests
+//!    together (in any order, at any offset) yields the same
+//!    per-transition values as evaluating each request alone (f64
+//!    bit-exactly; the kernel-equivalence suites enforce it).
 //! 2. The per-request summary is reduced with
 //!    [`TraceSummary::from_values`] over [`DEFAULT_CHUNK`]-sized runs —
 //!    the exact association [`TraceEngine`](charfree_engine::TraceEngine)
@@ -46,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceSummary, DEFAULT_CHUNK};
+use charfree_engine::{Kernel, PatternBlock, TraceSummary, DEFAULT_CHUNK};
 
 use crate::stats::ServerStats;
 
@@ -276,7 +274,6 @@ fn execute(jobs: Vec<Job>, stats: &ServerStats) {
         jobs: Vec<Job>,
         spans: Vec<(usize, usize)>,
         block: PatternBlock,
-        values: Vec<f64>,
     }
     let mut prepared: Vec<Prepared> = Vec::new();
     let mut poisoned = false;
@@ -297,7 +294,6 @@ fn execute(jobs: Vec<Job>, stats: &ServerStats) {
                     jobs: Vec::new(),
                     spans: Vec::new(),
                     block: PatternBlock::new(job.kernel.num_vars() as usize),
-                    values: Vec::new(),
                 });
                 prepared.len() - 1
             }
@@ -311,24 +307,10 @@ fn execute(jobs: Vec<Job>, stats: &ServerStats) {
     if poisoned {
         panic!("injected worker fault (JobFault::PanicInWorker)");
     }
-    for p in &mut prepared {
-        p.values = vec![0.0f64; p.block.len()];
-    }
-
-    // One fused multi-kernel pass over the whole flush: every
-    // kernel group's block advances together.
-    let mut fused: Vec<FusedJob> = prepared
-        .iter_mut()
-        .map(|p| FusedJob {
-            kernel: &p.kernel,
-            block: &p.block,
-            out: &mut p.values,
-        })
-        .collect();
-    eval_fused(&mut fused);
-    drop(fused);
-
     for p in prepared {
+        // One batch call per kernel group.
+        let mut values = vec![0.0f64; p.block.len()];
+        p.kernel.eval_batch_into(&p.block, &mut values);
         if p.block.is_empty() {
             stats.record_batch(p.jobs.len(), 1);
         } else {
@@ -336,7 +318,7 @@ fn execute(jobs: Vec<Job>, stats: &ServerStats) {
             stats.record_batch(p.jobs.len(), p.block.len() / groups64);
         }
         for (job, (offset, len)) in p.jobs.into_iter().zip(p.spans) {
-            let slice = &p.values[offset..offset + len];
+            let slice = &values[offset..offset + len];
             // DEFAULT_CHUNK association == the offline TraceEngine
             // reduction, which is what keeps batched summaries
             // bit-identical.

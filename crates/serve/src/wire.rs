@@ -374,7 +374,19 @@ impl<'a> Reader<'a> {
             return Err("patterns must have at least one input".to_owned());
         }
         let words = num_inputs.div_ceil(64);
-        let mut patterns = Vec::with_capacity(num_patterns.min(1 << 16));
+        // Bound every allocation below by the payload: a lying header
+        // must not reserve memory its bytes cannot fill.
+        let remaining = self.buf.len() - self.pos;
+        if num_patterns
+            .checked_mul(words)
+            .and_then(|w| w.checked_mul(8))
+            .is_none_or(|bytes| bytes > remaining)
+        {
+            return Err(format!(
+                "{num_patterns} patterns of {num_inputs} inputs exceed payload"
+            ));
+        }
+        let mut patterns = Vec::with_capacity(num_patterns);
         for _ in 0..num_patterns {
             let mut pattern = Vec::with_capacity(num_inputs);
             let mut packed = Vec::with_capacity(words);
@@ -999,5 +1011,21 @@ mod tests {
         // claimed 1M values, zero bytes of data
         put_u32(&mut buf, 1_000_000);
         assert!(decode_response(buf[0], &buf[1..]).is_err());
+    }
+
+    #[test]
+    fn lying_pattern_headers_fail_typed_before_allocating() {
+        let mut head = Vec::new();
+        put_str(&mut head, "decod");
+        head.extend_from_slice(&[0, 0, 0, 0, 0]); // default build options
+        head.push(0); // no deadline
+        for (num_inputs, num_patterns) in [(u32::MAX, u32::MAX), (u32::MAX, 1), (5, u32::MAX)] {
+            let mut payload = head.clone();
+            put_u32(&mut payload, num_inputs);
+            put_u32(&mut payload, num_patterns);
+            let err = decode_request(req_type::TRACE_DIRECT, &payload)
+                .expect_err("a header the payload cannot back is rejected");
+            assert!(err.contains("exceed payload"), "{err}");
+        }
     }
 }
